@@ -10,31 +10,22 @@ synthetic match generator for end-to-end verification.
 __version__ = "0.1.0"
 
 from .core import (
-    GridCell,
-    MatchRecord,
     Phase,
-    PlayerTrack,
     SkillTier,
-    SubCellOffset,
     Team,
     phase_of,
     tier_of_mmr,
 )
-from .zonemap import ZoneLabel, ZoneMap, load_zone_map, zone_of
+from .zonemap import ZoneLabel, ZoneMap, load_zone_map
 
 __all__ = [
-    "GridCell",
-    "MatchRecord",
     "Phase",
-    "PlayerTrack",
     "SkillTier",
-    "SubCellOffset",
     "Team",
     "ZoneLabel",
     "ZoneMap",
     "load_zone_map",
     "phase_of",
     "tier_of_mmr",
-    "zone_of",
     "__version__",
 ]

@@ -18,12 +18,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import measures, pdclust, stats, synth, tickstream
-from .core import GRID_SIZE, MatchRecord, Phase, SkillTier, Team
+from .core import GRID_SIZE, Phase, SkillTier, Team, check_lineup
 from .defaultmap import DEFAULT_LEGEND_TEXT, default_zone_map
 from .zonemap import ZoneLabel, ZoneMap, draft_zone_map, load_zone_map, parse_legend, render_zone_map
 
@@ -49,10 +49,6 @@ class RunConfig:
     zone_map_path: str | None = None
     legend_path: str | None = None
     out_dir: str = "."
-
-    @property
-    def workers(self) -> int:
-        return _workers_from_env()
 
 
 def _workers_from_env() -> int:
@@ -114,6 +110,7 @@ def _trajectory_files(paths: Iterable[str]) -> list[Path]:
 
 
 def _read_tracks(path: Path):
+    """(match_id, players, cells) of one trajectory CSV."""
     try:
         with open(path) as f:
             return tickstream.read_trajectory_csv(f)
@@ -129,17 +126,60 @@ def _read_meta(path: str) -> dict[int, synth.MatchMeta]:
         raise DataError(f"{path}: {e}") from None
 
 
-def _load_labeled_matches(args) -> list[MatchRecord]:
+class _Match(NamedTuple):
+    """One trajectory file joined with its metadata row."""
+
+    match_id: int
+    tier: SkillTier
+    winner: Team
+    players: tuple[tuple[Team, int], ...]  # (team, player_id) per cells row
+    cells: np.ndarray  # (10, T+1, 2) uint8
+
+
+def _load_labeled_matches(args) -> list[_Match]:
     meta = _read_meta(args.meta)
-    records = []
+    matches = []
     for path in _trajectory_files(args.trajectories):
-        match_id, tracks = _read_tracks(path)
+        match_id, players, cells = _read_tracks(path)
         if match_id not in meta:
             raise DataError(f"{path}: match {match_id} missing from metadata")
+        try:
+            check_lineup([team for team, _ in players])
+        except ValueError as e:
+            raise DataError(f"{path}: {e}") from None
         m = meta[match_id]
-        records.append(MatchRecord(match_id, m.tier, m.winner, len(tracks[0]) - 1, tracks))
-    records.sort(key=lambda r: r.match_id)
-    return records
+        matches.append(_Match(match_id, m.tier, m.winner, players, cells))
+    matches.sort(key=lambda m: m.match_id)
+    return matches
+
+
+def _team_series(match_id: int, players, cells: np.ndarray) -> list[measures.DistanceSeries]:
+    """One distance series per team, Radiant first."""
+    teams = np.array([team.value for team, _ in players])
+    return [
+        measures.DistanceSeries(match_id, team, measures.distance_values(cells[teams == team.value]))
+        for team in Team
+    ]
+
+
+def _player_stats(match: _Match, zmap: ZoneMap, min_dwell_s: int):
+    """(team, ZoneChangeStats) per player, in cells row order."""
+    codes = measures.zone_codes(match.cells, zmap)
+    return [
+        (team, measures.stats_from_codes(pid, player_codes, min_dwell_s))
+        for (team, pid), player_codes in zip(match.players, codes)
+    ]
+
+
+def _occupancy(paths: Iterable[Path], start: int = 0, end: int | None = None) -> np.ndarray:
+    """128x128 grid of player-seconds per cell over seconds start..end."""
+    grid = np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int64)
+    stop = None if end is None else end + 1
+    for path in paths:
+        _, _, cells = _read_tracks(path)
+        window = cells[:, start:stop]
+        np.add.at(grid, (window[..., 0], window[..., 1]), 1)
+    return grid
 
 
 def _out_dir(args) -> Path:
@@ -152,34 +192,37 @@ def _out_dir(args) -> Path:
 
 
 def _ingest_one(item):
+    """(header, cells, None) for a decodable stream, else (None, None, error)."""
     path, durations = item
     try:
         data = Path(path).read_bytes()
         header, last_second = tickstream.stream_summary(data)
         # recorded duration wins over the last-update heuristic
         duration = durations.get(header.match_id, last_second)
-        header, cells = tickstream.tracks_from_stream(data, duration)
-        tracks = tickstream.tracks_to_objects(header, cells)
-        return (str(path), header.match_id, tracks, None)
+        return (*tickstream.tracks_from_stream(data, duration), None)
     except (OSError, ValueError) as e:
-        return (str(path), None, None, str(e))
+        return (None, None, str(e))
 
 
 def cmd_ingest(args) -> int:
     out = _out_dir(args)
     meta = _read_meta(args.meta) if args.meta else {}
     durations = {mid: m.duration_s for mid, m in meta.items()}
-    items = [(p, durations) for p in sorted(args.streams)]
-    results = _pool_map(_ingest_one, items, _workers_from_env())
+    paths = sorted(args.streams)
+    results = _pool_map(_ingest_one, [(p, durations) for p in paths], _workers_from_env())
 
     failures = 0
-    for path, match_id, tracks, err in results:
+    source: dict[int, str] = {}
+    for path, (header, cells, err) in zip(paths, results):
+        if err is None and header.match_id in source:
+            err = f"match {header.match_id} already ingested from {source[header.match_id]}"
         if err is not None:
             failures += 1
             print(f"error: {path}: {err}", file=sys.stderr)
             continue
-        with open(out / f"{match_id}.csv", "w") as f:
-            tickstream.write_trajectory_csv(match_id, tracks, f)
+        source[header.match_id] = path
+        with open(out / f"{header.match_id}.csv", "w") as f:
+            tickstream.write_trajectory_csv(header, cells, f)
     if failures == len(results):
         return EXIT_DATA
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -187,18 +230,16 @@ def cmd_ingest(args) -> int:
 
 def cmd_zones(args) -> int:
     zmap = _load_zone_map(args)
-    records = _load_labeled_matches(args)
     rows = []
-    for rec in records:
-        for track in rec.tracks:
-            st = measures.zone_change_stats(track, zmap, args.min_dwell)
+    for match in _load_labeled_matches(args):
+        for team, st in _player_stats(match, zmap, args.min_dwell):
             rows.append(
                 (
-                    rec.match_id,
+                    match.match_id,
                     st.player_id,
-                    track.team,
-                    rec.tier,
-                    track.team is rec.winner,
+                    team,
+                    match.tier,
+                    team is match.winner,
                     st.changes,
                     st.rate_per_min,
                 )
@@ -209,27 +250,22 @@ def cmd_zones(args) -> int:
     return EXIT_OK
 
 
-def _series_for(records: Iterable[MatchRecord]) -> list[measures.LabeledSeries]:
-    out = []
-    for rec in records:
-        for team in Team:
-            s = measures.distance_series(rec, team)
-            out.append(measures.LabeledSeries(s, rec.tier, team is rec.winner))
-    return out
+def _series_for(matches: Iterable[_Match]) -> list[measures.LabeledSeries]:
+    return [
+        measures.LabeledSeries(s, match.tier, s.team is match.winner)
+        for match in matches
+        for s in _team_series(match.match_id, match.players, match.cells)
+    ]
 
 
 def cmd_distance(args) -> int:
     series = []
     for path in _trajectory_files(args.trajectories):
-        match_id, tracks = _read_tracks(path)
+        match_id, players, cells = _read_tracks(path)
         for team in Team:
-            mates = [t for t in tracks if t.team is team]
-            if len(mates) < 2:
+            if sum(1 for t, _ in players if t is team) < 2:
                 raise DataError(f"{path}: team {team} has fewer than 2 tracks")
-            cells = np.array([[(c.x, c.y) for c in t.cells] for t in mates])
-            series.append(
-                measures.DistanceSeries(match_id, team, measures.distance_values(cells))
-            )
+        series.extend(_team_series(match_id, players, cells))
     series.sort(key=lambda s: (s.match_id, s.team.value))
     out = _out_dir(args)
     with open(out / "distance_series.csv", "w") as f:
@@ -238,8 +274,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_phases(args) -> int:
-    records = _load_labeled_matches(args)
-    labeled = _series_for(records)
+    labeled = _series_for(_load_labeled_matches(args))
     if args.window > 1:
         labeled = [
             measures.LabeledSeries(
@@ -271,22 +306,20 @@ def cmd_phases(args) -> int:
 
 def cmd_anova(args) -> int:
     zmap = _load_zone_map(args)
-    records = _load_labeled_matches(args)
+    matches = _load_labeled_matches(args)
 
     rate_by_tier: dict[SkillTier, list[float]] = {}
     rate_by_outcome: dict[bool, list[float]] = {True: [], False: []}
     dist_by_tier: dict[SkillTier, list[float]] = {}
     dist_by_outcome: dict[bool, list[float]] = {True: [], False: []}
-    for rec in records:
-        for track in rec.tracks:
-            st = measures.zone_change_stats(track, zmap, args.min_dwell)
-            won = track.team is rec.winner
-            rate_by_tier.setdefault(rec.tier, []).append(st.rate_per_min)
-            rate_by_outcome[won].append(st.rate_per_min)
-        for team in Team:
-            mean_d = float(measures.distance_series(rec, team).values.mean())
-            dist_by_tier.setdefault(rec.tier, []).append(mean_d)
-            dist_by_outcome[team is rec.winner].append(mean_d)
+    for match in matches:
+        for team, st in _player_stats(match, zmap, args.min_dwell):
+            rate_by_tier.setdefault(match.tier, []).append(st.rate_per_min)
+            rate_by_outcome[team is match.winner].append(st.rate_per_min)
+        for s in _team_series(match.match_id, match.players, match.cells):
+            mean_d = float(s.values.mean())
+            dist_by_tier.setdefault(match.tier, []).append(mean_d)
+            dist_by_outcome[s.team is match.winner].append(mean_d)
 
     rows = []
     if len(rate_by_tier) >= 2:
@@ -332,8 +365,7 @@ def cmd_cluster(args) -> int:
         raise UsageError("k must be at least 2")
     if args.r <= 1:
         raise UsageError("membership exponent r must exceed 1")
-    records = _load_labeled_matches(args)
-    labeled = _series_for(records)
+    labeled = _series_for(_load_labeled_matches(args))
     series = [ls.series.values for ls in labeled]
     ids = [f"{ls.series.match_id}:{ls.series.team}" for ls in labeled]
     facet_labels = [(ls.tier, ls.won) for ls in labeled]
@@ -394,20 +426,12 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    if args.start < 0 or (args.end is not None and args.end < 0):
+        raise UsageError("--start and --end must be non-negative")
     if args.end is not None and args.end < args.start:
         raise UsageError("--end must not precede --start")
-    files = _trajectory_files(args.trajectories)
-    grid = np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int64)
-    total = 0
-    for path in files:
-        _, tracks = _read_tracks(path)
-        for track in tracks:
-            stop = len(track) if args.end is None else min(len(track), args.end + 1)
-            window = track.cells[args.start : stop]
-            for cell in window:
-                grid[cell.x, cell.y] += 1
-            total += len(window)
-    if total == 0:
+    grid = _occupancy(_trajectory_files(args.trajectories), args.start, args.end)
+    if not grid.any():
         raise DataError("no positions to map")
 
     out = _out_dir(args)
@@ -480,11 +504,7 @@ def cmd_synth(args) -> int:
 def cmd_zonemap_draft(args) -> int:
     legend = parse_legend(Path(args.legend).read_text()) if args.legend else parse_legend(DEFAULT_LEGEND_TEXT)
     provisional = ZoneLabel.parse(args.provisional)
-    tracks = []
-    for path in _trajectory_files(args.trajectories):
-        _, file_tracks = _read_tracks(path)
-        tracks.extend(file_tracks)
-    draft = draft_zone_map(tracks, legend, provisional)
+    draft = draft_zone_map(_occupancy(_trajectory_files(args.trajectories)), legend, provisional)
     out = _out_dir(args)
     (out / "draft_map.ppm").write_bytes(render_zone_map(draft))
     return EXIT_OK
@@ -493,7 +513,7 @@ def cmd_zonemap_draft(args) -> int:
 # ── argument plumbing ─────────────────────────────────────────────────────
 
 
-def _apply_config_file(argv: list[str]) -> dict[str, str]:
+def _read_config_file(argv: list[str]) -> dict[str, str]:
     """Extract --config FILE and return its key=value pairs."""
     if "--config" not in argv:
         return {}
@@ -528,7 +548,23 @@ def _add_common(p: _Parser, *, meta_required: bool = False, zone_args: bool = Fa
     p.add_argument("-o", "--out", default=".", help="output directory")
 
 
-def build_parser() -> _Parser:
+def _set_config_defaults(command: _Parser, settings: dict[str, str]) -> None:
+    """Make config settings the chosen subcommand's defaults. argparse
+    type-converts string defaults and explicit flags still win."""
+    # single-valued options only: a string default would break an append
+    # option such as --regime
+    dests = {
+        a.dest for a in command._actions
+        if a.option_strings and isinstance(a, argparse._StoreAction)
+    }
+    unknown = sorted(set(settings) - dests)
+    if unknown:
+        raise UsageError(f"unknown config key(s) for {command.prog}: {', '.join(unknown)}")
+    command.set_defaults(**settings)
+
+
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name."""
     cfg = RunConfig()
     parser = _Parser(prog="teamtrace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -596,24 +632,20 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_zonemap_draft)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        overrides = _apply_config_file(argv)
+        settings = _read_config_file(argv)
+        if settings and argv and argv[0] in commands:
+            _set_config_defaults(commands[argv[0]], settings)
         try:
             args = parser.parse_args(argv)
         except SystemExit as e:
             return int(e.code or 0)
-        # config file fills in anything not given explicitly on the line
-        for key, value in overrides.items():
-            if hasattr(args, key) and f"--{key.replace('_', '-')}" not in argv:
-                current = getattr(args, key)
-                cast = type(current) if current is not None and not isinstance(current, bool) else str
-                setattr(args, key, cast(value))
         return args.fn(args)
     except UsageError as e:
         print(f"teamtrace: error: {e}", file=sys.stderr)

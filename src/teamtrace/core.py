@@ -1,13 +1,12 @@
-"""Shared domain types: grid positions, teams, skill tiers, match phases,
-player tracks and match records.
+"""Shared domain types and rules: the grid, teams, skill tiers, match
+phases and the ten-player lineup.
 
-Everything in this module is immutable after construction and safe to share
-across worker processes.
+Everything in this module is immutable and safe to share across worker
+processes.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 GRID_SIZE = 128
@@ -112,86 +111,12 @@ def tier_of_mmr(mmr: float) -> SkillTier:
     return SkillTier.VERY_HIGH
 
 
-@dataclass(frozen=True)
-class GridCell:
-    """One cell of the 128x128 map grid. Origin is the south-west corner;
-    y grows northward."""
-
-    x: int
-    y: int
-
-    def __post_init__(self):
-        if not (0 <= self.x < GRID_SIZE and 0 <= self.y < GRID_SIZE):
-            raise ValueError(f"cell ({self.x},{self.y}) outside [0,{GRID_SIZE - 1}]")
-
-
-@dataclass(frozen=True)
-class SubCellOffset:
-    """Fractional within-cell position, in cell units. Decoded and carried
-    through, but no measure consumes it."""
-
-    vx: float
-    vy: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.vx) and math.isfinite(self.vy)):
-            raise ValueError("sub-cell offsets must be finite")
-
-
-@dataclass(frozen=True)
-class PlayerTrack:
-    """One player's positions sampled at exactly 1 Hz.
-
-    ``cells[t]`` is the player's grid cell at second t, for t = 0..len-1.
-    """
-
-    player_id: int
-    team: Team
-    cells: tuple[GridCell, ...]
-
-    def __post_init__(self):
-        if not self.cells:
-            raise ValueError("a track needs at least one sample")
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    @property
-    def duration_s(self) -> int:
-        """Timestamp of the last sample."""
-        return len(self.cells) - 1
-
-    @property
-    def samples(self) -> tuple[tuple[int, GridCell], ...]:
-        """(t, cell) pairs, t starting at 0 and increasing by 1."""
-        return tuple(enumerate(self.cells))
-
-
-@dataclass(frozen=True)
-class MatchRecord:
-    """A fully decoded match: metadata plus the ten player tracks."""
-
-    match_id: int
-    tier: SkillTier
-    winner: Team
-    duration_s: int
-    tracks: tuple[PlayerTrack, ...] = field(repr=False)
-
-    def __post_init__(self):
-        if self.duration_s < 0:
-            raise ValueError("duration must be non-negative")
-        if len(self.tracks) != 10:
-            raise ValueError(f"a match has 10 tracks, got {len(self.tracks)}")
-        for side in Team:
-            n = sum(1 for tr in self.tracks if tr.team is side)
-            if n != 5:
-                raise ValueError(f"expected 5 tracks for {side}, got {n}")
-        want = self.duration_s + 1
-        for tr in self.tracks:
-            if len(tr) != want:
-                raise ValueError(
-                    f"track {tr.player_id} has {len(tr)} samples, expected {want}"
-                )
-
-    def team_tracks(self, team: Team) -> tuple[PlayerTrack, ...]:
-        return tuple(tr for tr in self.tracks if tr.team is team)
+def check_lineup(teams) -> None:
+    """Raise ValueError unless ``teams`` (one Team per player slot) is a
+    full match lineup: ten players, five per side."""
+    if len(teams) != 10:
+        raise ValueError(f"a match has 10 players, got {len(teams)}")
+    for side in Team:
+        n = sum(1 for team in teams if team is side)
+        if n != 5:
+            raise ValueError(f"expected 5 players for {side}, got {n}")

@@ -1,6 +1,7 @@
-"""Behavioral measures over decoded matches: zone sequences with dwell
-filtering and change rates, intra-team distance series, moving averages
-and cross-match aggregation by tier / outcome / phase.
+"""Behavioral measures over decoded matches, given as (n, T+1, 2) cell
+arrays: zone codes with dwell filtering and change rates, intra-team
+distance series, moving averages and cross-match aggregation by tier /
+outcome / phase.
 
 All functions are pure; matches can be processed concurrently.
 """
@@ -12,7 +13,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .core import GRID_SIZE, MatchRecord, Phase, PlayerTrack, SkillTier, Team, phase_window
+from .core import Phase, SkillTier, Team, phase_window
 from .zonemap import _LABEL_INDEX, _LABELS, ZoneLabel, ZoneMap
 
 DEFAULT_MIN_DWELL_S = 5
@@ -79,13 +80,6 @@ def zone_codes(cells: np.ndarray, zmap: ZoneMap) -> np.ndarray:
     return zmap.codes[cells[..., 0], cells[..., 1]]
 
 
-def zone_sequence(track: PlayerTrack, zmap: ZoneMap) -> list[ZoneLabel]:
-    """One zone label per second, same length as the track."""
-    xs = np.fromiter((c.x for c in track.cells), dtype=np.intp, count=len(track))
-    ys = np.fromiter((c.y for c in track.cells), dtype=np.intp, count=len(track))
-    return [_LABELS[c] for c in zmap.codes[xs, ys].tolist()]
-
-
 def _runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run-length encode: (values, starts, lengths)."""
     breaks = np.flatnonzero(np.diff(codes)) + 1
@@ -133,22 +127,14 @@ def change_count(visits: Sequence[ZoneVisit]) -> int:
     return max(0, len(visits) - 1)
 
 
-def zone_change_stats(
-    track: PlayerTrack, zmap: ZoneMap, min_dwell_s: int = DEFAULT_MIN_DWELL_S
-) -> ZoneChangeStats:
-    """Dwell-filtered zone changes for one player, normalized per minute.
-
-    The rate denominator is the observed time: one second per 1 Hz sample.
-    """
-    xs = np.fromiter((c.x for c in track.cells), dtype=np.intp, count=len(track))
-    ys = np.fromiter((c.y for c in track.cells), dtype=np.intp, count=len(track))
-    codes = zmap.codes[xs, ys].astype(np.int64)
-    return stats_from_codes(track.player_id, codes, min_dwell_s)
-
-
 def stats_from_codes(
     player_id: int, codes: np.ndarray, min_dwell_s: int = DEFAULT_MIN_DWELL_S
 ) -> ZoneChangeStats:
+    """Dwell-filtered zone changes for one player's per-second zone codes,
+    normalized per minute.
+
+    The rate denominator is the observed time: one second per 1 Hz sample.
+    """
     duration_s = int(codes.size)
     if duration_s == 0:
         raise ValueError("zero-duration match")
@@ -160,10 +146,10 @@ def stats_from_codes(
 def team_distance(positions) -> float:
     """Average Euclidean distance over all pairs of teammate positions.
 
-    ``positions`` is a sequence of GridCell or an (n, 2) coordinate array,
-    n >= 2. Upper-triangle sum normalized by n(n-1)/2.
+    ``positions`` is an (n, 2) coordinate array, n >= 2. Upper-triangle
+    sum normalized by n(n-1)/2.
     """
-    pts = _as_points(positions)
+    pts = np.asarray(positions, dtype=np.float64)
     n = pts.shape[0]
     if n < 2:
         raise ValueError("team distance needs at least 2 positions")
@@ -171,15 +157,6 @@ def team_distance(positions) -> float:
     dists = np.sqrt((diff * diff).sum(axis=-1))
     iu = np.triu_indices(n, k=1)
     return float(dists[iu].mean())
-
-
-def _as_points(positions) -> np.ndarray:
-    if isinstance(positions, np.ndarray):
-        return positions.astype(np.float64, copy=False)
-    first = positions[0] if len(positions) else None
-    if hasattr(first, "x"):
-        return np.array([(p.x, p.y) for p in positions], dtype=np.float64)
-    return np.asarray(positions, dtype=np.float64)
 
 
 def distance_values(cells: np.ndarray) -> np.ndarray:
@@ -192,16 +169,6 @@ def distance_values(cells: np.ndarray) -> np.ndarray:
             d = pts[i] - pts[j]
             total += np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     return total / (n * (n - 1) / 2)
-
-
-def distance_series(match: MatchRecord, team: Team) -> DistanceSeries:
-    """Average pairwise distance of one team's five players, evaluated
-    at every second of the match."""
-    tracks = match.team_tracks(team)
-    cells = np.array(
-        [[(c.x, c.y) for c in tr.cells] for tr in tracks], dtype=np.float64
-    )
-    return DistanceSeries(match.match_id, team, distance_values(cells))
 
 
 def moving_average(series, window_s: int = 1) -> np.ndarray:
@@ -247,16 +214,6 @@ def aggregate_by_category(
         if n:
             rows.append((int(start) + off, float(sums[off] / n), n))
     return rows
-
-
-def visit_counts(tracks: Iterable[PlayerTrack]) -> np.ndarray:
-    """128x128 grid of player-seconds spent in each cell."""
-    grid = np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int64)
-    for track in tracks:
-        xs = np.fromiter((c.x for c in track.cells), dtype=np.intp, count=len(track))
-        ys = np.fromiter((c.y for c in track.cells), dtype=np.intp, count=len(track))
-        np.add.at(grid, (xs, ys), 1)
-    return grid
 
 
 def write_zone_changes_csv(out: TextIO, rows: Iterable[tuple]) -> None:

@@ -17,7 +17,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .core import MatchRecord, SkillTier, Team
+from .core import SkillTier, Team
 from .tickstream import (
     PLAYER_COUNT,
     PlayerSlot,
@@ -25,8 +25,6 @@ from .tickstream import (
     UPDATE_DTYPE,
     _pack_frames,
     tick_for_second,
-    tracks_from_stream,
-    tracks_to_objects,
 )
 from .zonemap import _LABEL_INDEX, ZoneLabel, ZoneMap
 
@@ -250,13 +248,6 @@ def generate_match(
 
     stream = _pack_frames(header, ticks, counts, updates)
     return stream, MatchMeta(match_id, tier, winner, duration)
-
-
-def decode_to_record(stream: bytes, meta: MatchMeta) -> MatchRecord:
-    """Decode a generated stream into a MatchRecord using its metadata."""
-    header, cells = tracks_from_stream(stream, meta.duration_s)
-    tracks = tracks_to_objects(header, cells)
-    return MatchRecord(meta.match_id, meta.tier, meta.winner, meta.duration_s, tracks)
 
 
 def write_metadata_csv(out: TextIO, metas: Iterable[MatchMeta]) -> None:

@@ -36,15 +36,16 @@ a decoded stream reproduces the input bytes exactly.
 """
 from __future__ import annotations
 
-import csv
+import functools
 import struct
+import warnings
 from dataclasses import dataclass
 from math import isfinite
 from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import GRID_SIZE, GridCell, PlayerTrack, Team
+from .core import GRID_SIZE, Team
 
 MAGIC = b"DTL2"
 FORMAT_VERSION = 1
@@ -64,6 +65,11 @@ UPDATE_DTYPE = np.dtype(
 )
 
 TRAJECTORY_COLUMNS = ("match_id", "team", "player_id", "t", "x", "y")
+# cells stay int64 until range-checked so out-of-grid values cannot wrap
+_TRAJECTORY_ROW = np.dtype(
+    [("match_id", "<u8"), ("team", "<i8"), ("player_id", "<i8"),
+     ("t", "<i8"), ("x", "<i8"), ("y", "<i8")]
+)
 
 
 class StreamFormatError(ValueError):
@@ -371,45 +377,6 @@ def decode(data: bytes) -> tuple[StreamHeader, tuple[Frame, ...]]:
     return header, tuple(frames)
 
 
-def resample_to_tracks(
-    header: StreamHeader, frames: Iterable[Frame], duration_s: int
-) -> tuple[PlayerTrack, ...]:
-    """Reconstruct 1 Hz tracks for seconds 0..duration_s by carry-forward.
-
-    A player's position at second s is their most recent update whose
-    standardized second is <= s; ties within one second go to the later
-    tick. Every player needs a tick-0 position (the keyframe).
-    """
-    interval = header.tick_interval_ms
-    per: dict[int, tuple[list[int], list[tuple[int, int]]]] = {
-        p.entity_id: ([], []) for p in header.players
-    }
-    for frame in frames:
-        sec = tick_to_second(frame.tick, interval)
-        for u in frame.updates:
-            try:
-                secs, cells = per[u.entity_id]
-            except KeyError:
-                raise StreamFormatError(
-                    f"entity {u.entity_id} not declared in header"
-                ) from None
-            secs.append(sec)
-            cells.append((u.cell_x, u.cell_y))
-
-    tracks = []
-    for slot in header.players:
-        secs, cells = per[slot.entity_id]
-        if not secs or secs[0] != 0:
-            raise StreamFormatError(
-                f"player {slot.player_id} (entity {slot.entity_id}) has no tick-0 position"
-            )
-        sec_arr = np.asarray(secs, dtype=np.int64)
-        idx = np.searchsorted(sec_arr, np.arange(duration_s + 1), side="right") - 1
-        track_cells = tuple(GridCell(*cells[i]) for i in idx.tolist())
-        tracks.append(PlayerTrack(slot.player_id, slot.team, track_cells))
-    return tuple(tracks)
-
-
 def tracks_from_stream(data: bytes, duration_s: int):
     """Fused decode + resample for batch ingestion.
 
@@ -437,55 +404,72 @@ def tracks_from_stream(data: bytes, duration_s: int):
     return header, out
 
 
-def tracks_to_objects(header: StreamHeader, cells: np.ndarray) -> tuple[PlayerTrack, ...]:
-    """Wrap a tracks_from_stream cell array into PlayerTrack objects."""
-    tracks = []
-    for i, slot in enumerate(header.players):
-        track_cells = tuple(GridCell(int(x), int(y)) for x, y in cells[i].tolist())
-        tracks.append(PlayerTrack(slot.player_id, slot.team, track_cells))
-    return tuple(tracks)
+def write_trajectory_csv(header: StreamHeader, cells: np.ndarray, out: TextIO) -> None:
+    """Write the per-match trajectory table match_id,team,player_id,t,x,y:
+    one block of rows t = 0..T per header slot, from (10, T+1, 2) cells."""
+    out.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+    for slot, track in zip(header.players, cells):
+        prefix = f"{header.match_id},{slot.team},{slot.player_id},"
+        out.write("".join(f"{prefix}{t},{x},{y}\n" for t, (x, y) in enumerate(track.tolist())))
 
 
-def write_trajectory_csv(match_id: int, tracks: Iterable[PlayerTrack], out: TextIO) -> None:
-    """Write the per-match trajectory table: match_id,team,player_id,t,x,y."""
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(TRAJECTORY_COLUMNS)
-    for track in tracks:
-        team = str(track.team)
-        for t, cell in enumerate(track.cells):
-            w.writerow((match_id, team, track.player_id, t, cell.x, cell.y))
+@functools.lru_cache(maxsize=16)
+def _team_value(text: str) -> int:
+    # cached: a file repeats the same two spellings on every row
+    return Team.parse(text).value
 
 
-def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[PlayerTrack, ...]]:
-    """Parse a trajectory CSV back into tracks (inverse of the writer)."""
-    reader = csv.reader(inp)
-    head = next(reader, None)
-    if head is None or tuple(head) != TRAJECTORY_COLUMNS:
+def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...], np.ndarray]:
+    """Parse a trajectory CSV (inverse of the writer).
+
+    Returns (match_id, players, cells): ``players`` is the (team,
+    player_id) slot table in order of first appearance and ``cells`` the
+    (n, T+1, 2) uint8 array in that order. The file must hold one match
+    id, and every player exactly the rows t = 0..T, in file order, with
+    cells on the grid.
+    """
+    head = inp.readline().rstrip("\r\n").split(",")
+    if tuple(head) != TRAJECTORY_COLUMNS:
         raise ValueError(f"bad trajectory header: {head}")
-    match_id: int | None = None
-    order: list[tuple[Team, int]] = []
-    cells: dict[tuple[Team, int], list[GridCell]] = {}
-    for row in reader:
-        mid, team_s, pid_s, t_s, x_s, y_s = row
-        mid = int(mid)
-        if match_id is None:
-            match_id = mid
-        elif mid != match_id:
-            raise ValueError(f"mixed match ids {match_id} and {mid}")
-        key = (Team.parse(team_s), int(pid_s))
-        if key not in cells:
-            order.append(key)
-            cells[key] = []
-        got = cells[key]
-        if int(t_s) != len(got):
-            raise ValueError(f"non-contiguous timestamps for player {key[1]}")
-        got.append(GridCell(int(x_s), int(y_s)))
-    if match_id is None:
+    with warnings.catch_warnings():  # a header-only file is reported below
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(
+            inp, dtype=_TRAJECTORY_ROW, delimiter=",", comments=None, ndmin=1,
+            converters={1: _team_value},
+        )
+    if rows.size == 0:
         raise ValueError("empty trajectory file")
-    tracks = tuple(
-        PlayerTrack(pid, team, tuple(cells[(team, pid)])) for team, pid in order
+    mids = rows["match_id"]
+    mixed = np.flatnonzero(mids != mids[0])
+    if mixed.size:
+        raise ValueError(f"mixed match ids {mids[0]} and {mids[mixed[0]]}")
+    xy = np.stack((rows["x"], rows["y"]), axis=-1)
+    off_grid = ((xy < 0) | (xy >= GRID_SIZE)).any(axis=1)
+    if off_grid.any():
+        x, y = xy[np.argmax(off_grid)]
+        raise ValueError(f"cell ({x},{y}) outside [0,{GRID_SIZE - 1}]")
+
+    keys = np.stack((rows["team"], rows["player_id"]), axis=-1)
+    slots, first_row, slot_of_row = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
     )
-    return match_id, tracks
+    order = np.argsort(first_row)  # slots by first appearance
+    player = np.argsort(order)[slot_of_row.ravel()]
+    by_player = np.argsort(player, kind="stable")
+    counts = np.bincount(player)
+    # each player's rows, in file order, must carry t = 0, 1, 2, ...
+    want_t = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    gap = rows["t"][by_player] != want_t
+    if gap.any():
+        pid = rows["player_id"][by_player[np.argmax(gap)]]
+        raise ValueError(f"non-contiguous timestamps for player {pid}")
+    if (counts != counts[0]).any():
+        raise ValueError(
+            f"players have different track lengths ({counts.min()} to {counts.max()} rows)"
+        )
+    cells = xy[by_player].astype(np.uint8).reshape(counts.size, counts[0], 2)
+    players = tuple((Team(team), pid) for team, pid in slots[order].tolist())
+    return int(mids[0]), players, cells
 
 
 def write_stream(path, header: StreamHeader, frames: Iterable[Frame]) -> None:

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GRID_SIZE, GridCell
+from .core import GRID_SIZE
 
 Color = tuple[int, int, int]
 
@@ -87,11 +87,6 @@ class ZoneMap:
         """(n, 2) array of the (x, y) cells carrying a label."""
         xs, ys = np.nonzero(self.codes == _LABEL_INDEX[label])
         return np.column_stack((xs, ys))
-
-
-def zone_of(zmap: ZoneMap, cell: GridCell) -> ZoneLabel:
-    """Constant-time zone lookup for one grid cell."""
-    return _LABELS[zmap.codes[cell.x, cell.y]]
 
 
 def parse_legend(text: str) -> dict[ZoneLabel, Color]:
@@ -238,18 +233,16 @@ def render_zone_map(zmap: ZoneMap, binary: bool = True) -> bytes:
 
 
 def draft_zone_map(
-    tracks,
+    visits: np.ndarray,
     legend: dict[ZoneLabel, Color],
     provisional: ZoneLabel = ZoneLabel.JUNGLE,
 ) -> ZoneMap:
-    """Draft map from observed trajectories: every visited cell gets the
-    provisional label, everything else is void. Meant as a starting point
-    for hand-editing zone borders."""
+    """Draft map from observed positions: every cell with a nonzero count
+    in the 128x128 ``visits`` grid gets the provisional label, everything
+    else is void. Meant as a starting point for hand-editing zone borders."""
     if provisional is ZoneLabel.VOID:
         raise ZoneMapError("provisional zone must be non-void")
-    codes = np.full((GRID_SIZE, GRID_SIZE), _LABEL_INDEX[ZoneLabel.VOID], dtype=np.uint8)
-    mark = _LABEL_INDEX[provisional]
-    for track in tracks:
-        for cell in track.cells:
-            codes[cell.x, cell.y] = mark
+    codes = np.where(
+        np.asarray(visits) > 0, _LABEL_INDEX[provisional], _LABEL_INDEX[ZoneLabel.VOID]
+    ).astype(np.uint8)
     return ZoneMap(codes, dict(legend))

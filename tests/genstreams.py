@@ -1,5 +1,6 @@
 """Shared builders for randomized valid DTL2 streams and guaranteed-invalid
-mutations of them."""
+mutations of them, plus a Frame-object resampler used as the reference for
+the fused ``tracks_from_stream`` path."""
 from __future__ import annotations
 
 import struct
@@ -12,8 +13,10 @@ from teamtrace.tickstream import (
     FrameUpdate,
     HEADER_SIZE,
     PlayerSlot,
+    StreamFormatError,
     StreamHeader,
     encode,
+    tick_to_second,
 )
 
 
@@ -96,3 +99,36 @@ def mutate_stream(rng: np.random.Generator, data: bytes, spans) -> tuple[str, by
         return "duplicate entity in frame", bytes(buf)
     # non-increasing tick via trailing zero frame header
     return "trailing non-increasing frame", bytes(buf + b"\x00" * 6)
+
+
+def resample_to_tracks(header: StreamHeader, frames, duration_s: int) -> np.ndarray:
+    """Reference 1 Hz resampler over decoded Frame objects: the (10,
+    duration_s+1, 2) uint8 cells, in header slot order.
+
+    A player's position at second s is their most recent update whose
+    standardized second is <= s; ties within one second go to the later
+    tick. Every player needs a tick-0 position (the keyframe).
+    """
+    per = {p.entity_id: ([], []) for p in header.players}
+    for frame in frames:
+        sec = tick_to_second(frame.tick, header.tick_interval_ms)
+        for u in frame.updates:
+            if u.entity_id not in per:
+                raise StreamFormatError(f"entity {u.entity_id} not declared in header")
+            secs, cells = per[u.entity_id]
+            secs.append(sec)
+            cells.append((u.cell_x, u.cell_y))
+
+    out = np.empty((len(header.players), duration_s + 1, 2), dtype=np.uint8)
+    for i, slot in enumerate(header.players):
+        secs, cells = per[slot.entity_id]
+        if not secs or secs[0] != 0:
+            raise StreamFormatError(
+                f"player {slot.player_id} (entity {slot.entity_id}) has no tick-0 position"
+            )
+        k = 0
+        for s in range(duration_s + 1):
+            while k + 1 < len(secs) and secs[k + 1] <= s:
+                k += 1
+            out[i, s] = cells[k]
+    return out

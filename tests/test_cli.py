@@ -6,7 +6,6 @@ import pytest
 
 from teamtrace import tickstream
 from teamtrace.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
-from teamtrace.core import MatchRecord
 from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT
 from teamtrace.synth import read_metadata_csv
 from teamtrace.zonemap import load_zone_map
@@ -51,13 +50,12 @@ class TestSynthAndIngest:
             header, cells = tickstream.tracks_from_stream(
                 data, meta[int(stream_path.stem)].duration_s
             )
-            tracks = tickstream.tracks_to_objects(header, cells)
-            m = meta[header.match_id]
-            want = MatchRecord(m.match_id, m.tier, m.winner, m.duration_s, tracks)
             with open(workspace / "traj" / f"{header.match_id}.csv") as f:
-                match_id, got_tracks = tickstream.read_trajectory_csv(f)
-            got = MatchRecord(match_id, m.tier, m.winner, m.duration_s, got_tracks)
-            assert got == want
+                match_id, players, got = tickstream.read_trajectory_csv(f)
+            assert match_id == header.match_id
+            assert players == tuple((p.team, p.player_id) for p in header.players)
+            assert got.shape == (10, meta[match_id].duration_s + 1, 2)
+            assert np.array_equal(got, cells)
 
     def test_partial_batch_failure(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.dtl2"
@@ -68,6 +66,17 @@ class TestSynthAndIngest:
         assert code == EXIT_PARTIAL
         assert "bad.dtl2" in capsys.readouterr().err
         assert len(list(out.glob("*.csv"))) == 2
+
+    def test_duplicate_match_id_is_partial_failure(self, workspace, tmp_path, capsys):
+        first = workspace / "streams" / "1.dtl2"
+        again = tmp_path / "copy_of_1.dtl2"
+        again.write_bytes(first.read_bytes())
+        out = tmp_path / "out"
+        assert main(["ingest", str(first), str(again), "-o", str(out)]) == EXIT_PARTIAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert str(again) in err[0] and str(first) in err[0]
+        assert [p.name for p in out.iterdir()] == ["1.csv"]
 
     def test_all_failures(self, tmp_path):
         bad = tmp_path / "junk.dtl2"
@@ -268,6 +277,38 @@ class TestAnalysisCommands:
         grid = np.loadtxt(out / "heatmap.csv", delimiter=",", dtype=np.int64)
         assert grid.sum() == 6 * 10 * 10  # matches x players x window seconds
 
+    @pytest.mark.parametrize("window", [["--start", "-5"], ["--start", "-10", "--end", "-5"]])
+    def test_heatmap_negative_window_is_usage_error(self, workspace, tmp_path, window):
+        assert main([
+            "heatmap", "--trajectories", str(workspace / "traj"), *window, "-o", str(tmp_path),
+        ]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["distance", "heatmap", "zonemap-draft"])
+    @pytest.mark.parametrize("x", ["128", "-1"])
+    def test_cell_off_the_grid_is_data_error(self, tmp_path, capsys, command, x):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"match_id,team,player_id,t,x,y\n1,Radiant,100,0,{x},5\n")
+        assert main([command, "--trajectories", str(bad), "-o", str(tmp_path)]) == EXIT_DATA
+        assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["heatmap", "zonemap-draft"])
+    def test_ragged_trajectory_is_data_error(self, workspace, tmp_path, capsys, command):
+        lines = (workspace / "traj" / "1.csv").read_text().splitlines(keepends=True)
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("".join(lines[:-1]))  # last player loses its final second
+        assert main([command, "--trajectories", str(ragged), "-o", str(tmp_path)]) == EXIT_DATA
+        assert "different track lengths" in capsys.readouterr().err
+
+    def test_lineup_short_of_ten_is_data_error(self, workspace, tmp_path, capsys):
+        lines = (workspace / "traj" / "1.csv").read_text().splitlines(keepends=True)
+        nine = tmp_path / "nine.csv"
+        nine.write_text("".join(lines[: 1 + 9 * 151]))
+        assert main([
+            "zones", "--trajectories", str(nine),
+            "--meta", str(workspace / "streams" / "matches.csv"), "-o", str(tmp_path),
+        ]) == EXIT_DATA
+        assert "10 players" in capsys.readouterr().err
+
     def test_heatmap_empty_input_is_data_error(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -308,6 +349,35 @@ class TestConfigFile:
         ]) == EXIT_OK
         doc = json.loads((out / "clusters.json").read_text())
         assert doc["config"]["k"] == 2
+
+    def test_config_values_are_type_converted(self, workspace, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("start=10\nend=19\n")
+        out = tmp_path / "out"
+        assert main([
+            "heatmap", "--config", str(cfg), "--trajectories", str(workspace / "traj"),
+            "-o", str(out),
+        ]) == EXIT_OK
+        grid = np.loadtxt(out / "heatmap.csv", delimiter=",", dtype=np.int64)
+        assert grid.sum() == 6 * 10 * 10
+
+    def test_bad_config_value_is_usage_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=abc\n")
+        assert main([
+            "cluster", "--config", str(cfg), "--trajectories", str(workspace / "traj"),
+            "--meta", str(workspace / "streams" / "matches.csv"), "-o", str(tmp_path),
+        ]) == EXIT_USAGE
+        assert "abc" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_usage_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("window=30\n")  # a phases option, not a distance one
+        assert main([
+            "distance", "--config", str(cfg), "--trajectories", str(workspace / "traj"),
+            "-o", str(tmp_path),
+        ]) == EXIT_USAGE
+        assert "window" in capsys.readouterr().err
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["zones"]) == EXIT_USAGE

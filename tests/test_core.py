@@ -1,20 +1,33 @@
+import io
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from genstreams import make_header
 from teamtrace.core import (
-    GridCell,
-    MatchRecord,
     Phase,
-    PlayerTrack,
     SkillTier,
-    SubCellOffset,
     Team,
+    check_lineup,
     phase_of,
     phase_window,
     tier_of_mmr,
 )
+from teamtrace.tickstream import (
+    Frame,
+    FrameUpdate,
+    HEADER_SIZE,
+    StreamFormatError,
+    decode,
+    encode,
+    read_trajectory_csv,
+)
+
+
+def _read(*rows):
+    text = "match_id,team,player_id,t,x,y\n" + "".join(r + "\n" for r in rows)
+    return read_trajectory_csv(io.StringIO(text))
 
 
 class TestPhaseOf:
@@ -75,28 +88,40 @@ class TestTierOfMmr:
 
 
 class TestDomainTypes:
+    """Cells, offsets and tracks are plain arrays; their rules are enforced
+    where data enters: the trajectory CSV reader and the DTL2 codec."""
+
     def test_grid_cell_bounds(self):
-        GridCell(0, 0)
-        GridCell(127, 127)
-        for bad in [(-1, 0), (0, -1), (128, 0), (0, 128)]:
-            with pytest.raises(ValueError):
-                GridCell(*bad)
+        _, _, cells = _read("1,Radiant,1,0,0,0", "1,Radiant,1,1,127,127")
+        assert cells.tolist() == [[[0, 0], [127, 127]]]
+        for x, y in [(-1, 0), (0, -1), (128, 0), (0, 128)]:
+            with pytest.raises(ValueError, match="outside"):
+                _read(f"1,Radiant,1,0,{x},{y}")
 
     def test_subcell_offset_must_be_finite(self):
-        SubCellOffset(0.25, -0.75)
-        with pytest.raises(ValueError):
-            SubCellOffset(float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            SubCellOffset(0.0, float("inf"))
+        keyframe = [FrameUpdate(i, 1, 1, 0.25, -0.75) for i in range(10)]
+        data = encode(make_header(), [Frame(0, tuple(keyframe))])
+        for bad in (float("nan"), float("inf")):
+            frame = Frame(0, tuple([FrameUpdate(0, 1, 1, bad, 0.0)] + keyframe[1:]))
+            with pytest.raises(StreamFormatError, match="non-finite"):
+                encode(make_header(), [frame])
+        # first update's vx field: after the frame head and entity/x/y bytes
+        vx = HEADER_SIZE + 6 + 3
+        corrupt = bytearray(data)
+        corrupt[vx : vx + 4] = b"\x00\x00\xc0\x7f"  # binary32 NaN
+        with pytest.raises(StreamFormatError, match="non-finite"):
+            decode(bytes(corrupt))
 
     def test_track_needs_samples(self):
-        with pytest.raises(ValueError):
-            PlayerTrack(1, Team.RADIANT, ())
+        with pytest.raises(ValueError, match="empty"):
+            _read()
 
     def test_track_samples_are_one_hertz(self):
-        track = PlayerTrack(1, Team.DIRE, (GridCell(1, 1), GridCell(2, 2)))
-        assert track.duration_s == 1
-        assert track.samples == ((0, GridCell(1, 1)), (1, GridCell(2, 2)))
+        _, _, cells = _read("1,Dire,1,0,1,1", "1,Dire,1,1,2,2")
+        assert cells.shape == (1, 2, 2)  # one player, seconds 0 and 1
+        assert cells[0].tolist() == [[1, 1], [2, 2]]
+        with pytest.raises(ValueError, match="non-contiguous"):
+            _read("1,Dire,1,0,1,1", "1,Dire,1,2,2,2")
 
     def test_team_parse(self):
         assert Team.parse("Radiant") is Team.RADIANT
@@ -105,31 +130,25 @@ class TestDomainTypes:
             Team.parse("neutral")
 
 
-def _track(pid, team, length):
-    return PlayerTrack(pid, team, (GridCell(3, 4),) * length)
-
-
-def _tracks(length=3):
-    return tuple(
-        _track(i, Team.RADIANT if i < 5 else Team.DIRE, length) for i in range(10)
-    )
+def _lineup(radiant=5, dire=5):
+    return [Team.RADIANT] * radiant + [Team.DIRE] * dire
 
 
 class TestMatchRecord:
+    """A match is ten equally long tracks, five per team."""
+
     def test_valid(self):
-        rec = MatchRecord(1, SkillTier.HIGH, Team.DIRE, 2, _tracks(3))
-        assert len(rec.team_tracks(Team.RADIANT)) == 5
-        assert len(rec.team_tracks(Team.DIRE)) == 5
+        check_lineup(_lineup())
+        check_lineup(list(reversed(_lineup())))
 
     def test_track_count_enforced(self):
-        with pytest.raises(ValueError):
-            MatchRecord(1, SkillTier.HIGH, Team.DIRE, 2, _tracks(3)[:9])
+        with pytest.raises(ValueError, match="10 players"):
+            check_lineup(_lineup(dire=4))
 
     def test_team_balance_enforced(self):
-        tracks = tuple(_track(i, Team.RADIANT, 3) for i in range(10))
-        with pytest.raises(ValueError):
-            MatchRecord(1, SkillTier.HIGH, Team.DIRE, 2, tracks)
+        with pytest.raises(ValueError, match="5 players"):
+            check_lineup(_lineup(radiant=10, dire=0))
 
     def test_track_lengths_must_match_duration(self):
-        with pytest.raises(ValueError):
-            MatchRecord(1, SkillTier.HIGH, Team.DIRE, 5, _tracks(3))
+        with pytest.raises(ValueError, match="different track lengths"):
+            _read("1,Radiant,1,0,3,4", "1,Radiant,1,1,3,4", "1,Dire,2,0,3,4")

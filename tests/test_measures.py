@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teamtrace.core import GridCell, MatchRecord, Phase, PlayerTrack, SkillTier, Team
+from teamtrace.core import Phase, SkillTier, Team
 from teamtrace.measures import (
     DistanceSeries,
     LabeledSeries,
     ZoneVisit,
     aggregate_by_category,
     change_count,
-    distance_series,
     distance_values,
     dwell_filter,
     moving_average,
+    stats_from_codes,
     team_distance,
-    visit_counts,
-    zone_change_stats,
-    zone_sequence,
+    zone_codes,
 )
 from teamtrace.zonemap import ZoneLabel
 
@@ -77,56 +75,56 @@ class TestDwellFilter:
         assert change_count(dwell_filter(extended)) == change_count(visits)
 
 
+def _spot(zmap, label):
+    """A cell carrying ``label`` on the map."""
+    xs, ys = np.nonzero(zmap.codes == list(ZoneLabel).index(label))
+    return (int(xs[len(xs) // 2]), int(ys[len(xs) // 2]))
+
+
+def _track(*spans):
+    """(T, 2) uint8 cells: each (cell, seconds) span in turn."""
+    return np.array([cell for cell, n in spans for _ in range(n)], dtype=np.uint8)
+
+
 class TestZoneChangeStats:
-    def _track(self, cells):
-        return PlayerTrack(9, Team.RADIANT, tuple(cells))
+    def _stats(self, zmap, cells):
+        return stats_from_codes(9, zone_codes(cells, zmap))
 
     def test_stationary_player(self, zmap):
-        track = self._track([GridCell(64, 64)] * 30)
-        st_ = zone_change_stats(track, zmap)
+        st_ = self._stats(zmap, _track(((64, 64), 30)))
+        assert st_.player_id == 9
         assert st_.changes == 0
         assert st_.rate_per_min == 0.0
 
     def test_two_changes_over_26_seconds(self, zmap):
         # stay in three different zones for 10, 6 and 10 seconds
-        spots = {A: None, B: None, C: None}
-        for label in spots:
-            xs, ys = np.nonzero(zmap.codes == list(ZoneLabel).index(label))
-            spots[label] = GridCell(int(xs[len(xs) // 2]), int(ys[len(xs) // 2]))
-        cells = [spots[A]] * 10 + [spots[B]] * 6 + [spots[C]] * 10
-        st_ = zone_change_stats(self._track(cells), zmap)
+        cells = _track((_spot(zmap, A), 10), (_spot(zmap, B), 6), (_spot(zmap, C), 10))
+        st_ = self._stats(zmap, cells)
         assert st_.changes == 2
         assert st_.duration_s == 26
         assert st_.rate_per_min == pytest.approx(2 * 60 / 26)
 
     def test_blip_has_rate_zero(self, zmap):
-        spots = {}
-        for label in (A, B):
-            xs, ys = np.nonzero(zmap.codes == list(ZoneLabel).index(label))
-            spots[label] = GridCell(int(xs[len(xs) // 2]), int(ys[len(xs) // 2]))
-        cells = [spots[A]] * 6 + [spots[B]] * 3 + [spots[A]] * 5
-        st_ = zone_change_stats(self._track(cells), zmap)
+        a, b = _spot(zmap, A), _spot(zmap, B)
+        st_ = self._stats(zmap, _track((a, 6), (b, 3), (a, 5)))
         assert st_.changes == 0
         assert st_.rate_per_min == 0.0
 
 
 class TestZoneSequence:
     def test_one_label_per_second(self, zmap):
-        track = PlayerTrack(1, Team.DIRE, (GridCell(64, 64), GridCell(64, 64)))
-        labels = zone_sequence(track, zmap)
-        assert len(labels) == 2
+        cells = np.full((3, 2, 2), 64, dtype=np.uint8)  # 3 players x 2 seconds
+        assert zone_codes(cells, zmap).shape == (3, 2)
 
     def test_single_sample(self, zmap):
-        track = PlayerTrack(1, Team.DIRE, (GridCell(0, 0),))
-        assert len(zone_sequence(track, zmap)) == 1
+        assert zone_codes(_track(((0, 0), 1)), zmap).shape == (1,)
 
     def test_crossing_changes_label_at_the_right_index(self, zmap):
-        lane = GridCell(12, 60)   # west top-lane column
-        jungle = GridCell(40, 80)
-        assert zmap.label_at(12, 60) is ZoneLabel.TOP_LANE
-        assert zmap.label_at(40, 80) is ZoneLabel.JUNGLE
-        track = PlayerTrack(1, Team.DIRE, (lane,) * 7 + (jungle,) * 3)
-        labels = zone_sequence(track, zmap)
+        lane = (12, 60)   # west top-lane column
+        jungle = (40, 80)
+        assert zmap.label_at(*lane) is ZoneLabel.TOP_LANE
+        assert zmap.label_at(*jungle) is ZoneLabel.JUNGLE
+        labels = [list(ZoneLabel)[c] for c in zone_codes(_track((lane, 7), (jungle, 3)), zmap)]
         assert labels[6] is ZoneLabel.TOP_LANE
         assert labels[7] is ZoneLabel.JUNGLE
 
@@ -142,10 +140,10 @@ def naive_team_distance(points):
 
 class TestTeamDistance:
     def test_cohabiting_team_has_zero_distance(self):
-        assert team_distance([GridCell(4, 4)] * 5) == 0.0
+        assert team_distance(np.full((5, 2), 4, dtype=np.uint8)) == 0.0
 
     def test_three_four_five_triangle(self):
-        assert team_distance([GridCell(0, 0), GridCell(3, 4)]) == 5.0
+        assert team_distance(np.array([[0, 0], [3, 4]], dtype=np.uint8)) == 5.0
 
     def test_three_points_against_naive_oracle(self):
         pts = [(0, 0), (3, 4), (3, 4)]
@@ -155,7 +153,7 @@ class TestTeamDistance:
 
     def test_fewer_than_two_rejected(self):
         with pytest.raises(ValueError):
-            team_distance([GridCell(1, 1)])
+            team_distance(np.array([[1, 1]]))
 
     @settings(max_examples=60)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -171,39 +169,38 @@ class TestTeamDistance:
 
 
 def _match(cells_fn, duration=5):
-    tracks = []
-    for i in range(10):
-        team = Team.RADIANT if i < 5 else Team.DIRE
-        tracks.append(
-            PlayerTrack(i, team, tuple(cells_fn(i, t) for t in range(duration + 1)))
-        )
-    return MatchRecord(1, SkillTier.NORMAL, Team.RADIANT, duration, tuple(tracks))
+    """(10, duration+1, 2) uint8 cells: Radiant rows 0-4, Dire rows 5-9."""
+    return np.array(
+        [[cells_fn(i, t) for t in range(duration + 1)] for i in range(10)], dtype=np.uint8
+    )
+
+
+def _series(cells, team):
+    rows = slice(0, 5) if team is Team.RADIANT else slice(5, 10)
+    return DistanceSeries(1, team, distance_values(cells[rows]))
 
 
 class TestDistanceSeries:
     def test_frozen_players_give_constant_zero(self):
-        match = _match(lambda i, t: GridCell(7, 7))
-        s = distance_series(match, Team.RADIANT)
+        s = _series(_match(lambda i, t: (7, 7)), Team.RADIANT)
         assert np.array_equal(s.values, np.zeros(6))
 
     def test_static_spread_gives_constant_series(self):
-        spots = [GridCell(10 + 4 * i, 20) for i in range(5)]
-        match = _match(lambda i, t: spots[i % 5])
-        s = distance_series(match, Team.DIRE)
-        static = team_distance(spots)
+        spots = [(10 + 4 * i, 20) for i in range(5)]
+        s = _series(_match(lambda i, t: spots[i % 5]), Team.DIRE)
+        static = team_distance(np.array(spots))
         assert np.allclose(s.values, static)
 
     def test_walk_matches_per_second_oracle(self):
         rng = np.random.default_rng(42)
-        walk = rng.integers(0, 128, size=(10, 7, 2))
-        match = _match(lambda i, t: GridCell(int(walk[i, t, 0]), int(walk[i, t, 1])), duration=6)
-        s = distance_series(match, Team.RADIANT)
-        for t in range(7):
-            pts = [(walk[i, t, 0], walk[i, t, 1]) for i in range(5)]
+        walk = rng.integers(0, 128, size=(10, 40, 2)).astype(np.uint8)
+        s = _series(walk, Team.RADIANT)
+        for t in range(40):
+            pts = [(int(walk[i, t, 0]), int(walk[i, t, 1])) for i in range(5)]
             assert abs(s.values[t] - naive_team_distance(pts)) <= 1e-9
 
     def test_length_is_duration_plus_one(self):
-        s = distance_series(_match(lambda i, t: GridCell(1, 1), duration=9), Team.RADIANT)
+        s = _series(_match(lambda i, t: (1, 1), duration=9), Team.RADIANT)
         assert len(s) == 10 and s.duration_s == 9
 
     def test_non_finite_values_rejected(self):
@@ -264,33 +261,3 @@ class TestAggregate:
         for phase in Phase:
             seen.extend(t for t, _, _ in aggregate_by_category([long], SkillTier.NORMAL, True, phase))
         assert seen == list(range(2000))
-
-
-class TestVisitCounts:
-    def test_single_stationary_player(self):
-        track = PlayerTrack(1, Team.RADIANT, (GridCell(3, 5),) * 10)
-        grid = visit_counts([track])
-        assert grid[3, 5] == 10
-        assert grid.sum() == 10
-
-    def test_conservation(self):
-        rng = np.random.default_rng(0)
-        tracks = [
-            PlayerTrack(
-                i,
-                Team.RADIANT,
-                tuple(GridCell(int(x), int(y)) for x, y in rng.integers(0, 128, (25, 2))),
-            )
-            for i in range(4)
-        ]
-        assert visit_counts(tracks).sum() == 4 * 25
-
-
-class TestDistanceValuesFast:
-    def test_matches_object_path(self):
-        rng = np.random.default_rng(3)
-        cells = rng.integers(0, 128, size=(5, 40, 2)).astype(np.uint8)
-        fast = distance_values(cells)
-        for t in range(40):
-            want = naive_team_distance(cells[:, t].astype(float).tolist())
-            assert abs(fast[t] - want) <= 1e-9

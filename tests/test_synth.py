@@ -3,17 +3,17 @@ import io
 import numpy as np
 import pytest
 
+from genstreams import resample_to_tracks
 from teamtrace import measures, tickstream
 from teamtrace.core import SkillTier, Team
 from teamtrace.synth import (
     MatchMeta,
     RegimeParams,
-    decode_to_record,
     generate_match,
     read_metadata_csv,
     write_metadata_csv,
 )
-from teamtrace.zonemap import ZoneLabel, zone_of
+from teamtrace.zonemap import ZoneLabel
 
 
 def pipeline_stats(stream, meta, zmap):
@@ -63,8 +63,8 @@ class TestGenerateMatch:
             ticks = [f.tick for f in frames]
             assert ticks == sorted(set(ticks))
             assert tickstream.encode(header, frames) == stream
-            tracks = tickstream.resample_to_tracks(header, frames, meta.duration_s)
-            assert all(len(t) == meta.duration_s + 1 for t in tracks)
+            cells = resample_to_tracks(header, frames, meta.duration_s)
+            assert cells.shape == (10, meta.duration_s + 1, 2)
 
     def test_zero_dispersion_gives_zero_distance(self, zmap):
         p = RegimeParams(0.0, 3.0, 300)
@@ -78,21 +78,22 @@ class TestGenerateMatch:
         stream, meta = generate_match(
             p, p, zmap, seed=1, match_id=77, tier=SkillTier.HIGH, winner=Team.DIRE
         )
-        rec = decode_to_record(stream, meta)
-        assert rec.match_id == 77
-        assert rec.tier is SkillTier.HIGH
-        assert rec.winner is Team.DIRE
-        assert rec.duration_s == 60
-        assert len(rec.team_tracks(Team.RADIANT)) == 5
+        assert (meta.match_id, meta.tier, meta.winner, meta.duration_s) == (
+            77, SkillTier.HIGH, Team.DIRE, 60
+        )
+        header, cells = tickstream.tracks_from_stream(stream, meta.duration_s)
+        assert header.match_id == 77
+        assert [p.team for p in header.players] == [Team.RADIANT] * 5 + [Team.DIRE] * 5
+        assert cells.shape == (10, 61, 2)
 
     def test_players_spawn_in_their_base(self, zmap):
         p = RegimeParams(4.0, 3.0, 60)
         stream, meta = generate_match(p, p, zmap, seed=8)
-        rec = decode_to_record(stream, meta)
-        for track in rec.team_tracks(Team.RADIANT):
-            assert zone_of(zmap, track.cells[0]) is ZoneLabel.BASE_RADIANT
-        for track in rec.team_tracks(Team.DIRE):
-            assert zone_of(zmap, track.cells[0]) is ZoneLabel.BASE_DIRE
+        header, cells = tickstream.tracks_from_stream(stream, meta.duration_s)
+        spawn = measures.zone_codes(cells[:, 0], zmap)
+        for slot, code in zip(header.players, spawn.tolist()):
+            base = ZoneLabel.BASE_RADIANT if slot.team is Team.RADIANT else ZoneLabel.BASE_DIRE
+            assert list(ZoneLabel)[code] is base
 
     def test_mismatched_lengths_rejected(self, zmap):
         with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genstreams import make_header, random_stream
-from teamtrace.core import GridCell
+from genstreams import make_header, random_stream, resample_to_tracks
+from teamtrace.core import Team
 from teamtrace.tickstream import (
     Frame,
     FrameUpdate,
@@ -17,12 +17,10 @@ from teamtrace.tickstream import (
     decode,
     encode,
     read_trajectory_csv,
-    resample_to_tracks,
     stream_summary,
     tick_for_second,
     tick_to_second,
     tracks_from_stream,
-    tracks_to_objects,
     write_trajectory_csv,
 )
 
@@ -188,19 +186,18 @@ class TestDecode:
 
 class TestResample:
     def test_carry_forward_single_keyframe(self):
-        tracks = resample_to_tracks(make_header(), [keyframe((9, 9))], 3)
-        assert len(tracks) == 10
-        for tr in tracks:
-            assert tr.cells == (GridCell(9, 9),) * 4
+        _, cells = tracks_from_stream(encode(make_header(), [keyframe((9, 9))]), 3)
+        assert cells.shape == (10, 4, 2)
+        assert (cells == 9).all()
 
     def test_gap_holds_previous_position(self):
         frames = [
             keyframe((1, 1)),
             Frame(tick_for_second(2), (FrameUpdate(0, 5, 5, 0.0, 0.0),)),
         ]
-        tracks = resample_to_tracks(make_header(), frames, 3)
-        assert [c.x for c in tracks[0].cells] == [1, 1, 5, 5]
-        assert [c.x for c in tracks[1].cells] == [1, 1, 1, 1]
+        _, cells = tracks_from_stream(encode(make_header(), frames), 3)
+        assert cells[0, :, 0].tolist() == [1, 1, 5, 5]
+        assert cells[1, :, 0].tolist() == [1, 1, 1, 1]
 
     def test_same_second_later_tick_wins(self):
         # two updates standardizing to second 1; brute-force replay says the
@@ -211,18 +208,32 @@ class TestResample:
             Frame(35, (FrameUpdate(0, 60, 60, 0.0, 0.0),)),
         ]
         assert tick_to_second(32) == 1 and tick_to_second(35) == 1
-        tracks = resample_to_tracks(make_header(), frames, 2)
-        assert [c.x for c in tracks[0].cells] == [1, 60, 60]
+        _, cells = tracks_from_stream(encode(make_header(), frames), 2)
+        assert cells[0, :, 0].tolist() == [1, 60, 60]
 
     def test_missing_initial_position_rejected(self):
-        nine = Frame(0, tuple(FrameUpdate(i, 1, 1, 0.0, 0.0) for i in range(9)))
+        # the keyframe rule makes such a stream unencodable, so build one
+        # whose tick-0 frame lacks entity 9 and whose first update for it
+        # comes a second later
+        frames = [
+            Frame(0, tuple(FrameUpdate(i, 1, 1, 0.0, 0.0) for i in range(9))),
+            Frame(tick_for_second(1), (FrameUpdate(9, 1, 1, 0.0, 0.0),)),
+        ]
+        data = b"".join(
+            [encode(make_header(), [keyframe()])[:HEADER_SIZE]]
+            + [struct.pack("<IH", f.tick, len(f.updates))
+               + b"".join(struct.pack("<BBBff", *u) for u in f.updates) for f in frames]
+        )
         with pytest.raises(StreamFormatError, match="tick-0"):
-            resample_to_tracks(make_header(), [nine], 2)
+            tracks_from_stream(data, 2)
+        with pytest.raises(StreamFormatError, match="tick-0"):
+            resample_to_tracks(make_header(), frames, 2)
 
     def test_track_length_is_duration_plus_one(self):
+        data = encode(make_header(), [keyframe()])
         for duration in (0, 1, 7):
-            tracks = resample_to_tracks(make_header(), [keyframe()], duration)
-            assert all(len(t) == duration + 1 for t in tracks)
+            _, cells = tracks_from_stream(data, duration)
+            assert cells.shape == (10, duration + 1, 2)
 
     def test_fused_path_matches_object_path(self):
         rng = np.random.default_rng(7)
@@ -232,7 +243,8 @@ class TestResample:
             want = resample_to_tracks(header, frames, duration)
             got_header, cells = tracks_from_stream(data, duration)
             assert got_header == header
-            assert tracks_to_objects(got_header, cells) == want
+            assert cells.dtype == np.uint8
+            assert np.array_equal(cells, want)
 
     def test_stream_summary(self):
         frames = [keyframe(), Frame(tick_for_second(9), (FrameUpdate(1, 2, 3, 0.0, 0.0),))]
@@ -240,25 +252,59 @@ class TestResample:
         assert last == 9
 
 
+def _csv(*rows):
+    return io.StringIO("match_id,team,player_id,t,x,y\n" + "".join(r + "\n" for r in rows))
+
+
 class TestTrajectoryCsv:
     def test_roundtrip(self):
         rng = np.random.default_rng(5)
         header, frames, data, _ = random_stream(rng)
         duration = tick_to_second(frames[-1].tick, header.tick_interval_ms)
-        tracks = resample_to_tracks(header, frames, duration)
+        _, cells = tracks_from_stream(data, duration)
         buf = io.StringIO()
-        write_trajectory_csv(header.match_id, tracks, buf)
+        write_trajectory_csv(header, cells, buf)
         buf.seek(0)
-        match_id, got = read_trajectory_csv(buf)
+        match_id, players, got = read_trajectory_csv(buf)
         assert match_id == header.match_id
-        assert got == tracks
+        assert players == tuple((p.team, p.player_id) for p in header.players)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, cells)
 
     def test_header_line(self):
         buf = io.StringIO()
-        write_trajectory_csv(1, resample_to_tracks(make_header(), [keyframe()], 0), buf)
+        _, cells = tracks_from_stream(encode(make_header(1), [keyframe()]), 0)
+        write_trajectory_csv(make_header(1), cells, buf)
         assert buf.getvalue().splitlines()[0] == "match_id,team,player_id,t,x,y"
         assert buf.getvalue().splitlines()[1] == "1,Radiant,100,0,1,2"
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             read_trajectory_csv(io.StringIO("a,b,c\n"))
+
+    def test_interleaved_rows_keep_first_appearance_order(self):
+        match_id, players, cells = read_trajectory_csv(_csv(
+            "4,dire,7,0,1,2", " 4, Radiant ,3,0,5,6", "4,Dire,7,1,3,4", "4,RADIANT,3,1,7,8",
+        ))
+        assert match_id == 4
+        assert players == ((Team.DIRE, 7), (Team.RADIANT, 3))
+        assert cells.tolist() == [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
+
+    @pytest.mark.parametrize("rows,message", [
+        ((), "empty"),
+        (("1,Radiant,100,0,5,5", "2,Radiant,101,0,5,5"), "mixed match ids 1 and 2"),
+        (("1,Radiant,100,1,5,5",), "non-contiguous"),
+        (("1,Radiant,100,0,5,5", "1,Radiant,100,0,5,5"), "non-contiguous"),
+        (("1,Radiant,100,0,5,5", "1,Radiant,100,1,5,5", "1,Dire,101,0,5,5"), "different track lengths"),
+        (("1,Neutral,100,0,5,5",), "Neutral"),
+        (("1,Radiant,100,0,5",), "columns"),
+        (("1,Radiant,100,0,5,5,5",), "columns"),
+        (("1,Radiant,100,0,5.0,5",), "5.0"),
+        (("1,Radiant,100,0,128,5",), r"cell \(128,5\) outside"),
+        (("1,Radiant,100,0,5,-1",), r"cell \(5,-1\) outside"),
+        (("1,Radiant,100,0,256,5",), "outside"),  # would wrap to 0 as uint8
+        (("1,Radiant,100,0,5,-256",), "outside"),
+    ])
+    def test_malformed_rows_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            read_trajectory_csv(_csv(*rows))

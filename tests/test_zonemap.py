@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from teamtrace.core import GridCell, PlayerTrack, Team
 from teamtrace.defaultmap import DEFAULT_LEGEND, DEFAULT_LEGEND_TEXT, default_zone_map
 from teamtrace.zonemap import (
     ZoneLabel,
@@ -12,7 +11,6 @@ from teamtrace.zonemap import (
     load_zone_map,
     parse_legend,
     render_zone_map,
-    zone_of,
 )
 
 VOID_RGB = DEFAULT_LEGEND[ZoneLabel.VOID]
@@ -35,7 +33,7 @@ class TestLoad:
     def test_uniform_void_maps_every_cell(self):
         zm = load_zone_map(ppm_p6(uniform_image(VOID_RGB)), DEFAULT_LEGEND_TEXT)
         assert all(
-            zone_of(zm, GridCell(x, y)) is ZoneLabel.VOID
+            zm.label_at(x, y) is ZoneLabel.VOID
             for x in range(0, 128, 17)
             for y in range(0, 128, 17)
         )
@@ -51,14 +49,14 @@ class TestLoad:
         img = uniform_image(VOID_RGB)
         img[117, 10] = RIVER_RGB
         zm = load_zone_map(ppm_p6(img), DEFAULT_LEGEND_TEXT)
-        assert zone_of(zm, GridCell(10, 10)) is ZoneLabel.RIVER
-        assert zone_of(zm, GridCell(10, 117)) is ZoneLabel.VOID
+        assert zm.label_at(10, 10) is ZoneLabel.RIVER
+        assert zm.label_at(10, 117) is ZoneLabel.VOID
 
     def test_base_cell(self):
         img = uniform_image(VOID_RGB)
         img[127, 0] = BASE_RGB  # bottom-left pixel -> cell (0, 0)
         zm = load_zone_map(ppm_p6(img), DEFAULT_LEGEND_TEXT)
-        assert zone_of(zm, GridCell(0, 0)) is ZoneLabel.BASE_RADIANT
+        assert zm.label_at(0, 0) is ZoneLabel.BASE_RADIANT
 
     def test_unknown_pixel_color_rejected(self):
         img = uniform_image(VOID_RGB)
@@ -152,8 +150,10 @@ class TestZoneOf:
 
 class TestDraft:
     def test_visited_cells_get_provisional_label(self):
-        track = PlayerTrack(1, Team.RADIANT, (GridCell(3, 3), GridCell(3, 4)))
-        draft = draft_zone_map([track], DEFAULT_LEGEND)
+        visits = np.zeros((128, 128), dtype=np.int64)
+        visits[3, 3] = 1
+        visits[3, 4] = 7
+        draft = draft_zone_map(visits, DEFAULT_LEGEND)
         assert draft.label_at(3, 3) is ZoneLabel.JUNGLE
         assert draft.label_at(3, 4) is ZoneLabel.JUNGLE
         assert draft.label_at(9, 9) is ZoneLabel.VOID
