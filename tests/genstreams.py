@@ -3,6 +3,7 @@ mutations of them, plus a Frame-object resampler used as the reference for
 the fused ``tracks_from_stream`` path."""
 from __future__ import annotations
 
+import io
 import struct
 
 import numpy as np
@@ -16,6 +17,7 @@ from teamtrace.tickstream import (
     StreamFormatError,
     StreamHeader,
     encode,
+    read_trajectory_csv,
     tick_to_second,
 )
 
@@ -132,3 +134,9 @@ def resample_to_tracks(header: StreamHeader, frames, duration_s: int) -> np.ndar
                 k += 1
             out[i, s] = cells[k]
     return out
+
+
+def read_rows(*rows: str):
+    """read_trajectory_csv over a header line plus the given data rows."""
+    text = "match_id,team,player_id,t,x,y\n" + "".join(r + "\n" for r in rows)
+    return read_trajectory_csv(io.StringIO(text))

@@ -1,10 +1,9 @@
-import io
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from genstreams import make_header
+from genstreams import make_header, read_rows
 from teamtrace.core import (
     Phase,
     SkillTier,
@@ -21,13 +20,7 @@ from teamtrace.tickstream import (
     StreamFormatError,
     decode,
     encode,
-    read_trajectory_csv,
 )
-
-
-def _read(*rows):
-    text = "match_id,team,player_id,t,x,y\n" + "".join(r + "\n" for r in rows)
-    return read_trajectory_csv(io.StringIO(text))
 
 
 class TestPhaseOf:
@@ -92,11 +85,11 @@ class TestDomainTypes:
     where data enters: the trajectory CSV reader and the DTL2 codec."""
 
     def test_grid_cell_bounds(self):
-        _, _, cells = _read("1,Radiant,1,0,0,0", "1,Radiant,1,1,127,127")
+        _, _, cells = read_rows("1,Radiant,1,0,0,0", "1,Radiant,1,1,127,127")
         assert cells.tolist() == [[[0, 0], [127, 127]]]
         for x, y in [(-1, 0), (0, -1), (128, 0), (0, 128)]:
             with pytest.raises(ValueError, match="outside"):
-                _read(f"1,Radiant,1,0,{x},{y}")
+                read_rows(f"1,Radiant,1,0,{x},{y}")
 
     def test_subcell_offset_must_be_finite(self):
         keyframe = [FrameUpdate(i, 1, 1, 0.25, -0.75) for i in range(10)]
@@ -114,14 +107,14 @@ class TestDomainTypes:
 
     def test_track_needs_samples(self):
         with pytest.raises(ValueError, match="empty"):
-            _read()
+            read_rows()
 
     def test_track_samples_are_one_hertz(self):
-        _, _, cells = _read("1,Dire,1,0,1,1", "1,Dire,1,1,2,2")
+        _, _, cells = read_rows("1,Dire,1,0,1,1", "1,Dire,1,1,2,2")
         assert cells.shape == (1, 2, 2)  # one player, seconds 0 and 1
         assert cells[0].tolist() == [[1, 1], [2, 2]]
         with pytest.raises(ValueError, match="non-contiguous"):
-            _read("1,Dire,1,0,1,1", "1,Dire,1,2,2,2")
+            read_rows("1,Dire,1,0,1,1", "1,Dire,1,2,2,2")
 
     def test_team_parse(self):
         assert Team.parse("Radiant") is Team.RADIANT
@@ -151,4 +144,4 @@ class TestMatchRecord:
 
     def test_track_lengths_must_match_duration(self):
         with pytest.raises(ValueError, match="different track lengths"):
-            _read("1,Radiant,1,0,3,4", "1,Radiant,1,1,3,4", "1,Dire,2,0,3,4")
+            read_rows("1,Radiant,1,0,3,4", "1,Radiant,1,1,3,4", "1,Dire,2,0,3,4")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genstreams import make_header, random_stream, resample_to_tracks
+from genstreams import make_header, random_stream, read_rows, resample_to_tracks
 from teamtrace.core import Team
 from teamtrace.tickstream import (
     Frame,
@@ -252,10 +252,6 @@ class TestResample:
         assert last == 9
 
 
-def _csv(*rows):
-    return io.StringIO("match_id,team,player_id,t,x,y\n" + "".join(r + "\n" for r in rows))
-
-
 class TestTrajectoryCsv:
     def test_roundtrip(self):
         rng = np.random.default_rng(5)
@@ -283,9 +279,9 @@ class TestTrajectoryCsv:
             read_trajectory_csv(io.StringIO("a,b,c\n"))
 
     def test_interleaved_rows_keep_first_appearance_order(self):
-        match_id, players, cells = read_trajectory_csv(_csv(
+        match_id, players, cells = read_rows(
             "4,dire,7,0,1,2", " 4, Radiant ,3,0,5,6", "4,Dire,7,1,3,4", "4,RADIANT,3,1,7,8",
-        ))
+        )
         assert match_id == 4
         assert players == ((Team.DIRE, 7), (Team.RADIANT, 3))
         assert cells.tolist() == [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
@@ -307,4 +303,4 @@ class TestTrajectoryCsv:
     ])
     def test_malformed_rows_rejected(self, rows, message):
         with pytest.raises(ValueError, match=message):
-            read_trajectory_csv(_csv(*rows))
+            read_rows(*rows)
