@@ -1,0 +1,144 @@
+"""The batched pdclust paths must reproduce the loop-based reference in
+``pdclust_oracle`` bit for bit: pattern frequencies, divergence matrices,
+the minimum-entropy dimension, FANNY memberships and traces, and
+silhouette widths are compared through ``.tobytes()``."""
+import numpy as np
+import pytest
+
+import pdclust_oracle as oracle
+from teamtrace.pdclust import (
+    distance_matrix,
+    fanny,
+    min_entropy_dimension,
+    min_series_length,
+    pam,
+    perm_distribution,
+    silhouette,
+)
+
+
+def planted_series(n, length, seed):
+    """Three regimes: smooth AR(1), rough AR(1) and a noisy 3-cycle."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        regime = i % 3
+        if regime == 2:
+            x = np.tile([0.0, 1.0, 2.0], length // 3 + 1)[:length]
+            x = x + rng.normal(0, 0.4, size=length)
+        else:
+            phi = 0.9 if regime == 0 else -0.5
+            x = np.empty(length)
+            x[0] = rng.normal()
+            for t in range(1, length):
+                x[t] = phi * x[t - 1] + rng.normal()
+        out.append(x)
+    return out
+
+
+def mixed_series(seed):
+    """Mixed lengths (some exactly the minimum for m=7, delay=3), constant
+    series and integer-valued series full of ties."""
+    rng = np.random.default_rng(seed)
+    shortest = min_series_length(7, 3)
+    out = [rng.normal(size=shortest), np.full(40, 2.5), np.zeros(shortest)]
+    for length in (shortest + 1, 25, 64, 301, 777):
+        out.append(rng.normal(size=length))
+        out.append(rng.integers(0, 3, size=length).astype(np.float64))
+    out.append(np.repeat(rng.integers(0, 4, size=60), 3).astype(np.float64))
+    return out
+
+
+def same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+# ── ordinal patterns ───────────────────────────────────────────────────────
+
+@pytest.mark.parametrize("delay", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_pattern_frequencies_match_oracle(m, delay):
+    series = mixed_series(seed=10 * m + delay)
+    for x in series:
+        assert same_bytes(perm_distribution(x, m, delay).freqs, oracle.pattern_freqs(x, m, delay))
+    got = distance_matrix(series, m=m, delay=delay).values
+    assert same_bytes(got, oracle.distance_matrix(series, m, delay).values)
+
+
+@pytest.mark.parametrize("m", [3, 7])
+def test_set_larger_than_one_block_matches_oracle(m):
+    # 40 x 777 values, several times the kernel's block of 2**13 values,
+    # with a too-long-for-any-block series in the middle
+    series = planted_series(40, 777, seed=5)
+    series.insert(20, planted_series(1, 20000, seed=6)[0])
+    got = distance_matrix(series, m=m).values
+    assert same_bytes(got, oracle.distance_matrix(series, m).values)
+
+
+def test_planted_set_matrix_and_dimension_match_oracle():
+    series = planted_series(120, 301, seed=3)
+    m = min_entropy_dimension(series)
+    assert m == oracle.min_entropy_dimension(series)
+    for dim in sorted({m, 5}):
+        got = distance_matrix(series, m=dim).values
+        assert same_bytes(got, oracle.distance_matrix(series, dim).values)
+
+
+def test_dimension_choice_on_mixed_lengths_matches_oracle():
+    for seed in range(3):
+        series = mixed_series(seed)
+        for delay in (1, 2, 3):
+            assert min_entropy_dimension(series, delay=delay) == oracle.min_entropy_dimension(
+                series, delay=delay
+            )
+
+
+# ── FANNY and silhouette ───────────────────────────────────────────────────
+
+def planted_matrix(n, seed):
+    return distance_matrix(planted_series(n, 301, seed), m=4).values
+
+
+def assert_same_fanny(d, **kw):
+    got, want = fanny(d, **kw), oracle.fanny(d, **kw)
+    assert same_bytes(got.memberships, want.memberships)
+    assert same_bytes(got.objective_trace, want.objective_trace)
+    assert same_bytes(got.crisp, want.crisp)
+    assert (got.n_iter, got.converged, got.objective) == (
+        want.n_iter, want.converged, want.objective,
+    )
+    return got
+
+
+@pytest.mark.parametrize("n", [6, 60, 240])
+def test_fanny_matches_oracle(n):
+    d = planted_matrix(n, seed=n)
+    for k in (2, 3, 4):
+        for r in (1.15, 2.0):
+            res = assert_same_fanny(d, k=k, r=r)
+            for labels in (res.crisp, pam(d, k).labels):
+                if np.unique(labels).size >= 2:
+                    got, want = silhouette(d, labels), oracle.silhouette(d, labels)
+                    assert same_bytes(got.widths, want.widths)
+                    assert got.average == want.average
+
+
+def test_fanny_degenerate_and_extreme_matrices_match_oracle():
+    assert_same_fanny(np.zeros((8, 8)), k=3)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(5, 10))
+        k = int(rng.integers(2, n))
+        d = np.triu(np.where(rng.random((n, n)) < 0.5, 0.0, 2.0), 1)
+        assert_same_fanny(d + d.T, k=k, max_iter=60)
+    assert_same_fanny(planted_matrix(60, seed=1), k=3, max_iter=1)
+
+
+def test_silhouette_singletons_and_zero_denominators_match_oracle():
+    d = planted_matrix(30, seed=2)
+    labels = np.repeat([0, 1, 2], 10)
+    labels[[0, 29]] = [7, 9]  # two singleton clusters
+    for mat, lab in ((d, labels), (np.zeros((6, 6)), np.array([0, 0, 1, 1, 2, 2]))):
+        got, want = silhouette(mat, lab), oracle.silhouette(mat, lab)
+        assert same_bytes(got.widths, want.widths)
+        assert got.average == want.average
