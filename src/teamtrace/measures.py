@@ -224,18 +224,19 @@ def write_zone_changes_csv(out: TextIO, rows: Iterable[tuple]) -> None:
         w.writerow((match_id, player_id, str(team), str(tier), int(win), changes, repr(rate)))
 
 
+# The distance and aggregate writers format lines directly: their fields
+# (ints, enum names, float reprs) never need CSV quoting.
 def write_distance_csv(out: TextIO, series_set: Iterable[DistanceSeries]) -> None:
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(DISTANCE_COLUMNS)
+    out.write(",".join(DISTANCE_COLUMNS) + "\n")
     for s in series_set:
-        team = str(s.team)
-        for t, d in enumerate(s.values.tolist()):
-            w.writerow((s.match_id, team, t, repr(d)))
+        prefix = f"{s.match_id},{s.team!s},"
+        out.write("".join([f"{prefix}{t},{d!r}\n" for t, d in enumerate(s.values.tolist())]))
 
 
 def write_aggregate_csv(out: TextIO, rows: Iterable[tuple]) -> None:
     """Rows: (tier, outcome: bool, phase, t, mean_d, n_matches)."""
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(AGGREGATE_COLUMNS)
-    for tier, won, phase, t, mean_d, n in rows:
-        w.writerow((str(tier), "win" if won else "loss", str(phase), t, repr(mean_d), n))
+    out.write(",".join(AGGREGATE_COLUMNS) + "\n")
+    out.write("".join([
+        f"{tier!s},{'win' if won else 'loss'},{phase!s},{t},{mean_d!r},{n}\n"
+        for tier, won, phase, t, mean_d, n in rows
+    ]))

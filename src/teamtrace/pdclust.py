@@ -8,9 +8,11 @@ reduced to the permutation that sorts it (ties broken toward the earlier
 index), so the representation is invariant under any positive affine
 transform of the values and under the sampling rate of the series. Two
 series are compared by the squared Hellinger distance between their
-pattern distributions, which is symmetric and bounded by 2. The embedding
-is computed in one pass per series, so building an N x N matrix is linear
-in total series length for fixed N and m.
+pattern distributions, which is symmetric and bounded by 2. One kernel
+embeds every series: it concatenates consecutive series into bounded
+batches and codes all windows of a batch with slice comparisons and one
+bincount, so embedding a set is one linear pass over its values for fixed
+m, and an N x N matrix adds one Gram product.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -50,40 +52,32 @@ class PermDistribution:
 
     def entropy(self) -> float:
         """Pattern entropy normalized to [0, 1] by log(m!)."""
-        f = self.freqs[self.freqs > 0]
-        return float(-(f * np.log(f)).sum() / math.log(_FACTORIAL[self.m]))
+        return _entropy(self.freqs, self.m)
+
+
+def _entropy(freqs: np.ndarray, m: int) -> float:
+    f = freqs[freqs > 0]
+    return float(-(f * np.log(f)).sum() / math.log(_FACTORIAL[m]))
 
 
 def min_series_length(m: int, delay: int = 1) -> int:
     return (m - 1) * delay + 1
 
 
-def _pattern_ranks(x: np.ndarray, m: int, delay: int) -> np.ndarray:
-    """Lexicographic rank of the sorting permutation of every window."""
-    n_windows = x.size - (m - 1) * delay
-    idx = np.arange(n_windows)[:, None] + np.arange(m)[None, :] * delay
-    perms = np.argsort(x[idx], axis=1, kind="stable")
-    ranks = np.zeros(n_windows, dtype=np.int64)
-    for j in range(m - 1):
-        smaller_after = np.zeros(n_windows, dtype=np.int64)
-        for l in range(j + 1, m):
-            smaller_after += perms[:, l] < perms[:, j]
-        ranks += smaller_after * _FACTORIAL[m - 1 - j]
-    return ranks
+# Values per batch of the ordinal-pattern kernel: large enough that numpy
+# call overhead is amortized over many series, small enough that the dense
+# (series, m!) count array of a batch stays a few MB at m = 7.
+_BLOCK_VALUES = 1 << 13
 
 
-def perm_distribution(series, m: int = DEFAULT_EMBED_DIM, delay: int = 1) -> PermDistribution:
-    """Ordinal pattern distribution of a series.
-
-    Each window of ``m`` values spaced ``delay`` apart contributes the
-    permutation that sorts it ascending, ties broken by earlier index
-    first (a constant window yields the identity pattern). Frequencies
-    are pattern counts over the number of windows.
-    """
+def _check_embedding(m: int, delay: int) -> None:
     if not MIN_EMBED_DIM <= m <= MAX_EMBED_DIM:
         raise ValueError(f"embedding dimension m must be in [{MIN_EMBED_DIM},{MAX_EMBED_DIM}]")
     if delay < 1:
         raise ValueError("delay must be at least 1")
+
+
+def _as_series(series, m: int, delay: int) -> np.ndarray:
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("series must be one-dimensional")
@@ -94,9 +88,70 @@ def perm_distribution(series, m: int = DEFAULT_EMBED_DIM, delay: int = 1) -> Per
             f"series of length {x.size} too short for m={m}, delay={delay} "
             f"(needs >= {min_series_length(m, delay)})"
         )
-    ranks = _pattern_ranks(x, m, delay)
-    freqs = np.bincount(ranks, minlength=_FACTORIAL[m]) / ranks.size
-    return PermDistribution(m, delay, freqs)
+    return x
+
+
+def _pattern_freqs(
+    xs: Sequence[np.ndarray], m: int, delay: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Ordinal-pattern frequencies of checked series, in batches.
+
+    Yields ``(first, freqs)`` where row j of ``freqs`` holds the pattern
+    frequencies of ``xs[first + j]`` in lexicographic pattern order.
+    Consecutive series are concatenated into batches of about
+    ``_BLOCK_VALUES`` values; windows that cross a series boundary are
+    dropped. For a window with values x_0..x_{m-1}, ties broken toward the
+    earlier index, let inv[a] count b < a with x_b > x_a and later[a] count
+    b > a with x_b < x_a. Then a sorts to position a - inv[a] + later[a],
+    and the lexicographic rank of the sorting permutation is
+    sum_a inv[a] * (m - 1 - position(a))!.
+    """
+    n_patterns = _FACTORIAL[m]
+    span = (m - 1) * delay
+    weights = np.array(_FACTORIAL[:m], dtype=np.int16)
+    first = 0
+    while first < len(xs):
+        stop, size = first + 1, xs[first].size
+        while stop < len(xs) and size + xs[stop].size <= _BLOCK_VALUES:
+            size += xs[stop].size
+            stop += 1
+        block = xs[first:stop]
+        values = np.concatenate(block)
+        n_windows = values.size - span
+        cols = [values[j * delay : j * delay + n_windows] for j in range(m)]
+        inv = np.zeros((m, n_windows), dtype=np.int8)
+        later = np.zeros((m, n_windows), dtype=np.int8)
+        for a in range(1, m):
+            for b in range(a):
+                greater = cols[b] > cols[a]
+                inv[a] += greater
+                later[b] += greater
+        code = np.zeros(n_windows, dtype=np.int16)
+        for a in range(1, m):
+            # m - 1 - position(a), a factorial index in 0..m-1
+            code += inv[a] * weights[(m - 1 - a) + inv[a] - later[a]]
+        lengths = np.array([x.size for x in block])
+        owner = np.repeat(np.arange(len(block)), lengths)
+        inside = owner[:n_windows] == owner[span:]
+        keys = owner[:n_windows][inside] * n_patterns + code[inside]
+        counts = np.bincount(keys, minlength=len(block) * n_patterns)
+        yield first, counts.reshape(len(block), n_patterns) / (lengths - span)[:, None]
+        first = stop
+
+
+def perm_distribution(series, m: int = DEFAULT_EMBED_DIM, delay: int = 1) -> PermDistribution:
+    """Ordinal pattern distribution of a series.
+
+    Each window of ``m`` values spaced ``delay`` apart contributes the
+    permutation that sorts it ascending, ties broken by earlier index
+    first (a constant window yields the identity pattern). Frequencies
+    are pattern counts over the number of windows. This is a batch of
+    one through the same kernel ``distance_matrix`` and
+    ``min_entropy_dimension`` use.
+    """
+    _check_embedding(m, delay)
+    _, freqs = next(_pattern_freqs([_as_series(series, m, delay)], m, delay))
+    return PermDistribution(m, delay, freqs[0])
 
 
 def pd_divergence(p: PermDistribution, q: PermDistribution) -> float:
@@ -143,9 +198,12 @@ def distance_matrix(
 ) -> DissimilarityMatrix:
     """All-pairs squared Hellinger divergence between pattern distributions.
 
-    Each series is embedded exactly once (one linear pass), then the pair
-    divergences come from a Gram product of the root-frequency matrix.
+    Every series is checked first, as ``perm_distribution`` checks it. The
+    set is then embedded in batches of consecutive series (one linear
+    pass over all values), and the pair divergences come from a Gram
+    product of the root-frequency matrix.
     """
+    _check_embedding(m, delay)
     if len(series_set) == 0:
         raise ValueError("need at least one series")
     if ids is None:
@@ -155,9 +213,10 @@ def distance_matrix(
         if len(ids) != len(series_set):
             raise ValueError("ids length does not match series count")
 
-    roots = np.empty((len(series_set), _FACTORIAL[m]))
-    for i, series in enumerate(series_set):
-        roots[i] = np.sqrt(perm_distribution(series, m, delay).freqs)
+    xs = [_as_series(series, m, delay) for series in series_set]
+    roots = np.empty((len(xs), _FACTORIAL[m]))
+    for first, freqs in _pattern_freqs(xs, m, delay):
+        roots[first : first + len(freqs)] = np.sqrt(freqs)
     gram = roots @ roots.T
     d = 2.0 - 2.0 * gram
     d = np.triu(d, k=1)
@@ -174,13 +233,16 @@ def min_entropy_dimension(
     entropy across the series set (ties go to the smaller m).
 
     Dimensions too large for the shortest series are dropped; an empty
-    candidate range is an error.
+    candidate range is an error. Each series is checked once, as
+    ``perm_distribution`` checks it, before any pattern is counted.
     """
     ms = sorted(set(m_values))
     if not ms:
         raise ValueError("empty embedding dimension range")
     if any(not MIN_EMBED_DIM <= m <= MAX_EMBED_DIM for m in ms):
         raise ValueError(f"dimensions must lie in [{MIN_EMBED_DIM},{MAX_EMBED_DIM}]")
+    if delay < 1:
+        raise ValueError("delay must be at least 1")
     if len(series_set) == 0:
         raise ValueError("need at least one series")
     shortest = min(len(s) for s in series_set)
@@ -189,9 +251,11 @@ def min_entropy_dimension(
         raise ValueError(
             f"shortest series (length {shortest}) cannot support any m in {ms}"
         )
+    xs = [_as_series(s, usable[0], delay) for s in series_set]
     best_m, best_h = usable[0], math.inf
     for m in usable:
-        h = np.mean([perm_distribution(s, m, delay).entropy() for s in series_set])
+        batches = _pattern_freqs(xs, m, delay)
+        h = np.mean([_entropy(row, m) for _, freqs in batches for row in freqs])
         if h < best_h - 1e-15:
             best_m, best_h = m, float(h)
     return best_m
@@ -349,30 +413,45 @@ def fanny(
 
     converged = False
     sweeps = 0
+    clusters = range(k)
     for sweeps in range(1, max_iter + 1):
         u_before = u.copy()
+        # The per-object updates of s and num run on Python floats, which
+        # round exactly as numpy float64 does for + - * /. Powers stay numpy
+        # array operations: numpy's vectorized pow and libm's pow can differ
+        # in the last bit. Each object's power row is read before its first
+        # update in a sweep, so the sweep-start powers serve for every delta.
+        # t is updated transposed, (k, n), so the rank-1 update runs along n.
+        s, num, powers_before = s.tolist(), num.tolist(), powers.tolist()
+        t_by_cluster = t.T.copy()
         for i in range(n):
+            ti = t_by_cluster[:, i].tolist()
             # per-cluster attraction; a starved cluster is never preferred
             # (the floor keeps s*s out of the underflow-to-zero range)
-            alive = s > 1e-100
-            a = np.full(k, np.inf)
-            a[alive] = t[i, alive] / s[alive] - num[alive] / (2.0 * s[alive] * s[alive])
-            amin = a.min()
+            a = [
+                ti[v] / s[v] - num[v] / (2.0 * s[v] * s[v]) if s[v] > 1e-100 else math.inf
+                for v in clusters
+            ]
+            amin = min(a)
             if amin <= 0:
                 row = np.zeros(k)
-                finite = a[np.isfinite(a)]
-                if finite.max() - amin <= 1e-15 and finite.size == k:
+                finite = [x for x in a if x != math.inf]
+                if max(finite) - amin <= 1e-15 and len(finite) == k:
                     row[:] = 1.0 / k  # fully degenerate: no direction preferred
                 else:
-                    row[int(np.argmin(a))] = 1.0
+                    row[a.index(amin)] = 1.0
             else:
-                w = np.where(np.isfinite(a), (amin / a) ** sharp, 0.0)
+                starved = math.inf in a
+                a = np.array(a)
+                w = (amin / a) ** sharp
+                if starved:
+                    w = np.where(np.isfinite(a), w, 0.0)
                 row = w / w.sum()
-            delta = row**r - powers[i]
-            num += 2.0 * delta * t[i]
-            s += delta
-            t += np.outer(d[:, i], delta)
-            powers[i] = row**r
+            delta = [p - q for p, q in zip((row**r).tolist(), powers_before[i])]
+            for v in clusters:
+                num[v] += 2.0 * delta[v] * ti[v]
+                s[v] += delta[v]
+            t_by_cluster += np.outer(delta, d[:, i])
             u[i] = row
 
         # refresh aggregates to kill incremental drift, then evaluate
@@ -427,16 +506,16 @@ def silhouette(matrix, assignment) -> SilhouetteResult:
     totals = d @ onehot  # totals[i, c] = sum of d(i, members of c)
     own = np.searchsorted(clusters, labels)
 
+    points = np.arange(d.shape[0])
+    own_size = sizes[own]
+    # a singleton's a is never used; divide by 1 to keep it finite
+    a = totals[points, own] / np.maximum(own_size - 1, 1)
+    means = totals / sizes
+    means[points, own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
     widths = np.zeros(d.shape[0])
-    for i in range(d.shape[0]):
-        c = own[i]
-        if sizes[c] <= 1:
-            continue
-        a = totals[i, c] / (sizes[c] - 1)
-        other = np.delete(totals[i] / sizes, c)
-        b = float(other.min())
-        denom = max(a, b)
-        widths[i] = 0.0 if denom == 0 else (b - a) / denom
+    np.divide(b - a, denom, out=widths, where=(own_size > 1) & (denom != 0))
     widths.setflags(write=False)
     return SilhouetteResult(widths, float(widths.mean()))
 

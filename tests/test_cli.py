@@ -256,6 +256,27 @@ class TestAnalysisCommands:
             "--k", "1", "-o", str(workspace / "clbad"),
         ]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("m, message", [
+        ("7", "series of length 6 too short for m=7, delay=1 (needs >= 7)"),
+        ("8", "embedding dimension m must be in [2,7]"),
+    ])
+    def test_cluster_embedding_too_large_is_one_line_data_error(
+        self, tmp_path, capsys, m, message
+    ):
+        streams, traj = tmp_path / "streams", tmp_path / "traj"
+        meta = str(streams / "matches.csv")
+        assert main([
+            "synth", "--matches", "1", "--duration", "5", "--seed", "3", "-o", str(streams),
+        ]) == EXIT_OK
+        files = sorted(str(p) for p in streams.glob("*.dtl2"))
+        assert main(["ingest", *files, "--meta", meta, "-o", str(traj)]) == EXIT_OK
+        capsys.readouterr()
+        assert main([
+            "cluster", "--trajectories", str(traj), "--meta", meta,
+            "--m", m, "-o", str(tmp_path / "cl"),
+        ]) == EXIT_DATA
+        assert capsys.readouterr().err == f"teamtrace: error: {message}\n"
+
     def test_heatmap_conservation(self, workspace):
         out = workspace / "heat_out"
         assert main([

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -245,6 +246,76 @@ class TestMinEntropyDimension:
             min_entropy_dimension([[1, 2]], m_values=[4, 5])
         with pytest.raises(ValueError):
             min_entropy_dimension([[1, 2, 3]], m_values=[])
+
+
+
+class Untouchable(Sequence):
+    """A series set whose members fail the test when read."""
+
+    def __len__(self):
+        return 3
+
+    def __getitem__(self, i):
+        raise AssertionError("series read before the arguments were checked")
+
+
+def first_error(series, m, delay=1):
+    with pytest.raises(ValueError) as info:
+        perm_distribution(series, m, delay)
+    return str(info.value)
+
+
+class TestBatchedErrorSurface:
+    good = [np.arange(30.0), np.sin(np.arange(40.0))]
+
+    @pytest.mark.parametrize("bad", [
+        [1.0, float("nan")] + [2.0] * 20,
+        [1.0, 2.0, 3.0],
+        np.ones((10, 10)),
+    ], ids=["nan", "short", "2d"])
+    def test_distance_matrix_reports_first_bad_series(self, bad):
+        other_bad = [float("inf")] * 30
+        want = first_error(bad, 5)
+        with pytest.raises(ValueError) as info:
+            distance_matrix([*self.good, bad, self.good[0], other_bad], m=5)
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("bad", [
+        [1.0, float("nan")] + [2.0] * 20,
+        np.ones((10, 10)),
+    ], ids=["nan", "2d"])
+    def test_min_entropy_dimension_reports_first_bad_series(self, bad):
+        with pytest.raises(ValueError) as info:
+            min_entropy_dimension([*self.good, bad, [float("inf")] * 30])
+        assert str(info.value) == first_error(bad, 2)
+
+    def test_min_entropy_dimension_short_series_narrows_range(self):
+        with pytest.raises(ValueError, match=r"shortest series \(length 1\)"):
+            min_entropy_dimension([*self.good, [1.0]])
+
+    @pytest.mark.parametrize("m, delay, message", [
+        (1, 1, "embedding dimension"),
+        (8, 1, "embedding dimension"),
+        (5, 0, "delay must be at least 1"),
+    ])
+    def test_distance_matrix_checks_arguments_first(self, m, delay, message):
+        with pytest.raises(ValueError, match=message):
+            distance_matrix(Untouchable(), m=m, delay=delay)
+        with pytest.raises(ValueError, match=message):
+            perm_distribution(list(range(20)), m=m, delay=delay)
+
+    def test_min_entropy_dimension_checks_arguments_first(self):
+        with pytest.raises(ValueError, match="dimensions must lie"):
+            min_entropy_dimension(Untouchable(), m_values=[1, 2])
+        with pytest.raises(ValueError, match="delay must be at least 1"):
+            min_entropy_dimension(Untouchable(), delay=0)
+        with pytest.raises(ValueError, match="empty embedding dimension range"):
+            min_entropy_dimension(Untouchable(), m_values=[])
+
+    def test_empty_set_rejected(self):
+        for fn in (distance_matrix, min_entropy_dimension):
+            with pytest.raises(ValueError, match="need at least one series"):
+                fn([])
 
 
 # ── clustering ─────────────────────────────────────────────────────────────
