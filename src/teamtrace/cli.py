@@ -11,20 +11,18 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import measures, pdclust, stats, synth, tickstream
+# Start-up is most of a command's wall time: the module level imports only
+# what the parser needs, and each command imports the layers it runs.
 from .core import GRID_SIZE, Phase, SkillTier, Team, check_lineup
-from .defaultmap import DEFAULT_LEGEND_TEXT, default_zone_map
 from .zonemap import ZoneLabel, ZoneMap, draft_zone_map, load_zone_map, parse_legend, render_zone_map
 
 EXIT_OK = 0
@@ -79,11 +77,13 @@ def _pool_map(fn, items: Sequence, workers: int) -> list:
     """Order-preserving map; results identical for any worker count."""
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (workers * 4))))
 
 
 def _load_zone_map(args) -> ZoneMap:
+    from .defaultmap import default_zone_map
     if args.zone_map and args.legend:
         try:
             pix = Path(args.zone_map).read_bytes()
@@ -111,6 +111,7 @@ def _trajectory_files(paths: Iterable[str]) -> list[Path]:
 
 def _read_tracks(path: Path):
     """(match_id, players, cells) of one trajectory CSV."""
+    from . import tickstream
     try:
         with open(path) as f:
             return tickstream.read_trajectory_csv(f)
@@ -119,6 +120,7 @@ def _read_tracks(path: Path):
 
 
 def _read_meta(path: str) -> dict[int, synth.MatchMeta]:
+    from . import synth
     try:
         with open(path) as f:
             return synth.read_metadata_csv(f)
@@ -155,6 +157,7 @@ def _load_labeled_matches(args) -> list[_Match]:
 
 def _team_series(match_id: int, players, cells: np.ndarray) -> list[measures.DistanceSeries]:
     """One distance series per team, Radiant first."""
+    from . import measures
     teams = np.array([team.value for team, _ in players])
     return [
         measures.DistanceSeries(match_id, team, measures.distance_values(cells[teams == team.value]))
@@ -164,6 +167,7 @@ def _team_series(match_id: int, players, cells: np.ndarray) -> list[measures.Dis
 
 def _player_stats(match: _Match, zmap: ZoneMap, min_dwell_s: int):
     """(team, ZoneChangeStats) per player, in cells row order."""
+    from . import measures
     codes = measures.zone_codes(match.cells, zmap)
     return [
         (team, measures.stats_from_codes(pid, player_codes, min_dwell_s))
@@ -193,6 +197,7 @@ def _out_dir(args) -> Path:
 
 def _ingest_one(item):
     """(header, cells, None) for a decodable stream, else (None, None, error)."""
+    from . import tickstream
     path, durations = item
     try:
         data = Path(path).read_bytes()
@@ -205,6 +210,7 @@ def _ingest_one(item):
 
 
 def cmd_ingest(args) -> int:
+    from . import tickstream
     out = _out_dir(args)
     meta = _read_meta(args.meta) if args.meta else {}
     durations = {mid: m.duration_s for mid, m in meta.items()}
@@ -229,6 +235,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_zones(args) -> int:
+    from . import measures
     zmap = _load_zone_map(args)
     rows = []
     for match in _load_labeled_matches(args):
@@ -251,6 +258,7 @@ def cmd_zones(args) -> int:
 
 
 def _series_for(matches: Iterable[_Match]) -> list[measures.LabeledSeries]:
+    from . import measures
     return [
         measures.LabeledSeries(s, match.tier, s.team is match.winner)
         for match in matches
@@ -259,6 +267,7 @@ def _series_for(matches: Iterable[_Match]) -> list[measures.LabeledSeries]:
 
 
 def cmd_distance(args) -> int:
+    from . import measures
     series = []
     for path in _trajectory_files(args.trajectories):
         match_id, players, cells = _read_tracks(path)
@@ -274,6 +283,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_phases(args) -> int:
+    from . import measures
     labeled = _series_for(_load_labeled_matches(args))
     if args.window > 1:
         labeled = [
@@ -305,6 +315,8 @@ def cmd_phases(args) -> int:
 
 
 def cmd_anova(args) -> int:
+    import json
+    from . import stats
     zmap = _load_zone_map(args)
     matches = _load_labeled_matches(args)
 
@@ -361,6 +373,8 @@ def cmd_anova(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    import json
+    from . import pdclust
     if args.k < 2:
         raise UsageError("k must be at least 2")
     if args.r <= 1:
@@ -379,9 +393,8 @@ def cmd_cluster(args) -> int:
             raise UsageError(f"--m must be an integer or 'auto', got {args.m!r}") from None
     matrix = pdclust.distance_matrix(series, m=m, delay=args.delay, ids=ids)
     fuzzy = pdclust.fanny(matrix, k=args.k, r=args.r, seed=args.seed)
-    crisp_pam = pdclust.pam(matrix, k=args.k, seed=args.seed)
     sil_fuzzy = pdclust.silhouette(matrix, fuzzy.crisp)
-    sil_pam = pdclust.silhouette(matrix, crisp_pam.labels)
+    sil_pam = pdclust.silhouette(matrix, fuzzy.start.labels)
     report = pdclust.cluster_report(series, fuzzy, matrix, labels=facet_labels)
 
     out = _out_dir(args)
@@ -405,7 +418,7 @@ def cmd_cluster(args) -> int:
             "fuzzy_average": sil_fuzzy.average,
             "fuzzy_widths": sil_fuzzy.widths.tolist(),
             "pam_average": sil_pam.average,
-            "pam_medoids": list(crisp_pam.medoids),
+            "pam_medoids": list(fuzzy.start.medoids),
         },
         "clusters": [
             {
@@ -458,6 +471,8 @@ _DEFAULT_REGIMES = (
 
 
 def _synth_one(item):
+    from . import synth
+    from .defaultmap import default_zone_map
     sigma, rate, duration, zmap_codes_legend, seed, match_id, tier_name = item
     zmap = default_zone_map() if zmap_codes_legend is None else zmap_codes_legend
     params = synth.RegimeParams(sigma, rate, duration)
@@ -468,6 +483,7 @@ def _synth_one(item):
 
 
 def cmd_synth(args) -> int:
+    from . import synth
     zmap = _load_zone_map(args)
     regimes = []
     for regime_str in args.regime or []:
@@ -502,6 +518,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_zonemap_draft(args) -> int:
+    from .defaultmap import DEFAULT_LEGEND_TEXT
     legend = parse_legend(Path(args.legend).read_text()) if args.legend else parse_legend(DEFAULT_LEGEND_TEXT)
     provisional = ZoneLabel.parse(args.provisional)
     draft = draft_zone_map(_occupancy(_trajectory_files(args.trajectories)), legend, provisional)

@@ -364,6 +364,7 @@ class FuzzyResult:
     converged: bool
     n_iter: int
     objective_trace: tuple[float, ...] = field(repr=False)
+    start: PamResult = field(repr=False)  # the PAM partition memberships started from
 
 
 def _fanny_objective(d: np.ndarray, powers: np.ndarray) -> float:
@@ -401,8 +402,9 @@ def fanny(
     if r <= 1.0:
         raise ValueError("membership exponent must exceed 1")
 
+    start = pam(d, k, seed)
     u = np.full((n, k), 0.1 / (k - 1))
-    u[np.arange(n), pam(d, k, seed).labels] = 0.9
+    u[np.arange(n), start.labels] = 0.9
 
     powers = u**r
     s = powers.sum(axis=0)
@@ -478,7 +480,7 @@ def fanny(
     u.setflags(write=False)
     crisp = np.argmax(u, axis=1)
     crisp.setflags(write=False)
-    return FuzzyResult(k, r, u, trace[-1], crisp, converged, sweeps, tuple(trace))
+    return FuzzyResult(k, r, u, trace[-1], crisp, converged, sweeps, tuple(trace), start)
 
 
 @dataclass(frozen=True)

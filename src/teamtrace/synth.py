@@ -263,7 +263,15 @@ def read_metadata_csv(inp: TextIO) -> dict[int, MatchMeta]:
     if head is None or tuple(head) != METADATA_COLUMNS:
         raise ValueError(f"bad metadata header: {head}")
     out: dict[int, MatchMeta] = {}
-    for mid, tier, winner, dur in reader:
+    line_of: dict[int, int] = {}
+    for row in reader:
+        line = reader.line_num
+        if len(row) != len(METADATA_COLUMNS):
+            raise ValueError(f"line {line}: expected {len(METADATA_COLUMNS)} fields, got {len(row)}")
+        mid, tier, winner, dur = row
         meta = MatchMeta(int(mid), SkillTier.parse(tier), Team.parse(winner), int(dur))
+        first = line_of.setdefault(meta.match_id, line)
+        if first != line:
+            raise ValueError(f"duplicate match id {meta.match_id} on lines {first} and {line}")
         out[meta.match_id] = meta
     return out

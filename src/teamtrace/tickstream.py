@@ -450,11 +450,13 @@ def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...],
         raise ValueError(f"cell ({x},{y}) outside [0,{GRID_SIZE - 1}]")
 
     keys = np.stack((rows["team"], rows["player_id"]), axis=-1)
-    slots, first_row, slot_of_row = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
+    # slots are found among run heads (rows whose player differs from the row before)
+    heads = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    slots, first_run, slot_of_run = np.unique(
+        keys[heads], axis=0, return_index=True, return_inverse=True
     )
-    order = np.argsort(first_row)  # slots by first appearance
-    player = np.argsort(order)[slot_of_row.ravel()]
+    order = np.argsort(first_run)  # slots by first appearance
+    player = np.repeat(np.argsort(order)[slot_of_run.ravel()], np.diff(np.r_[heads, rows.size]))
     by_player = np.argsort(player, kind="stable")
     counts = np.bincount(player)
     # each player's rows, in file order, must carry t = 0, 1, 2, ...

@@ -96,8 +96,9 @@ def fanny(
     if r <= 1.0:
         raise ValueError("membership exponent must exceed 1")
 
+    start = pam(d, k, seed)
     u = np.full((n, k), 0.1 / (k - 1))
-    u[np.arange(n), pam(d, k, seed).labels] = 0.9
+    u[np.arange(n), start.labels] = 0.9
 
     powers = u**r
     s = powers.sum(axis=0)
@@ -158,7 +159,7 @@ def fanny(
     u.setflags(write=False)
     crisp = np.argmax(u, axis=1)
     crisp.setflags(write=False)
-    return FuzzyResult(k, r, u, trace[-1], crisp, converged, sweeps, tuple(trace))
+    return FuzzyResult(k, r, u, trace[-1], crisp, converged, sweeps, tuple(trace), start)
 
 
 def silhouette(matrix, assignment) -> SilhouetteResult:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import teamtrace
 from teamtrace import tickstream
 from teamtrace.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT
@@ -122,6 +127,24 @@ class TestSynthAndIngest:
             "--meta", str(short_meta), "-o", str(tmp_path / "o"),
         ]) == EXIT_DATA
         assert "missing from metadata" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,message", [
+        ("1,Normal,Dire,150", "duplicate match id 1 on lines 2 and 8"),
+        ("7,Normal,Dire", "line 8: expected 4 fields, got 3"),
+    ])
+    @pytest.mark.parametrize("command", ["zones", "ingest"])
+    def test_bad_metadata_row_is_one_line_data_error(
+        self, workspace, tmp_path, capsys, command, extra, message
+    ):
+        meta = tmp_path / "meta.csv"
+        meta.write_text((workspace / "streams" / "matches.csv").read_text() + extra + "\n")
+        if command == "ingest":
+            args = [str(workspace / "streams" / "1.dtl2")]
+        else:
+            args = ["--trajectories", str(workspace / "traj")]
+        code = main([command, *args, "--meta", str(meta), "-o", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"teamtrace: error: {meta}: {message}\n"
 
     def test_corrupt_trajectory_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -343,6 +366,46 @@ class TestAnalysisCommands:
         zm = load_zone_map((out / "draft_map.ppm").read_bytes(), DEFAULT_LEGEND_TEXT)
         codes = set(np.unique(zm.codes).tolist())
         assert len(codes) == 2  # provisional zone + void
+
+
+# Runs one command in a fresh interpreter, as the console script does, and
+# writes the names of the modules it loaded to the file named first.
+_LOADED_MODULES = (
+    "import sys\n"
+    "from teamtrace.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "open(sys.argv[1], 'w').write('\\n'.join(sys.modules))\n"
+    "sys.exit(code)\n"
+)
+_CLUSTERING_AND_STATS = {"teamtrace.pdclust", "teamtrace.stats"}
+_NOT_FOR_GRID_COMMANDS = _CLUSTERING_AND_STATS | {"teamtrace.synth", "concurrent.futures.process"}
+
+
+class TestStartup:
+    @pytest.mark.parametrize("argv,loaded,absent", [
+        ("--help", "teamtrace.cli", _NOT_FOR_GRID_COMMANDS),
+        ("heatmap --trajectories {traj} -o {out}", "teamtrace.tickstream", _NOT_FOR_GRID_COMMANDS),
+        ("zones --trajectories {traj} --meta {meta} -o {out}", "teamtrace.measures",
+         _CLUSTERING_AND_STATS),
+    ])
+    def test_command_imports_only_the_layers_it_runs(
+        self, workspace, tmp_path, argv, loaded, absent
+    ):
+        paths = {"traj": workspace / "traj", "meta": workspace / "streams" / "matches.csv",
+                 "out": tmp_path / "out"}
+        argv = [arg.format(**paths) for arg in argv.split()]
+        src = str(Path(teamtrace.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        listing = tmp_path / "modules.txt"
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_MODULES, str(listing), *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        modules = set(listing.read_text().splitlines())
+        assert loaded in modules
+        assert sorted(modules & absent) == []
 
 
 class TestConfigFile:

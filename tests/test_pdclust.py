@@ -404,6 +404,10 @@ class TestFanny:
         res = fanny(d, k=3, seed=seed)
         trace = res.objective_trace
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
+        # the PAM start is kept, so callers need not run PAM again
+        start = pam(d, k=3, seed=seed)
+        assert (res.start.medoids, res.start.cost) == (start.medoids, start.cost)
+        assert np.array_equal(res.start.labels, start.labels)
 
     def test_non_convergence_flag(self):
         rng = np.random.default_rng(9)

@@ -285,12 +285,24 @@ class TestTrajectoryCsv:
         assert match_id == 4
         assert players == ((Team.DIRE, 7), (Team.RADIANT, 3))
         assert cells.tolist() == [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
+        # split blocks: A t=0..2, B t=0..2, A t=3..5, B t=3..5
+        a = [f"4,Dire,7,{t},{t},{t + 1}" for t in range(6)]
+        b = [f"4,Radiant,3,{t},{t + 2},{2 * t}" for t in range(6)]
+        _, split_players, split_cells = read_rows(*a[:3], *b[:3], *a[3:], *b[3:])
+        _, block_players, block_cells = read_rows(*a, *b)
+        assert split_players == block_players == ((Team.DIRE, 7), (Team.RADIANT, 3))
+        assert np.array_equal(split_cells, block_cells)
+        assert split_cells.shape == (2, 6, 2)
 
     @pytest.mark.parametrize("rows,message", [
         ((), "empty"),
         (("1,Radiant,100,0,5,5", "2,Radiant,101,0,5,5"), "mixed match ids 1 and 2"),
         (("1,Radiant,100,1,5,5",), "non-contiguous"),
         (("1,Radiant,100,0,5,5", "1,Radiant,100,0,5,5"), "non-contiguous"),
+        (("1,Radiant,100,0,5,5", "1,Radiant,100,1,5,5", "1,Radiant,100,2,5,5",
+          "1,Dire,101,0,5,5", "1,Dire,101,1,5,5", "1,Dire,101,2,5,5",
+          "1,Radiant,100,4,5,5", "1,Radiant,100,5,5,5"),
+         "non-contiguous timestamps for player 100"),
         (("1,Radiant,100,0,5,5", "1,Radiant,100,1,5,5", "1,Dire,101,0,5,5"), "different track lengths"),
         (("1,Neutral,100,0,5,5",), "Neutral"),
         (("1,Radiant,100,0,5",), "columns"),
