@@ -299,10 +299,6 @@ class TestTrajectoryCsv:
         (("1,Radiant,100,0,5,5", "2,Radiant,101,0,5,5"), "mixed match ids 1 and 2"),
         (("1,Radiant,100,1,5,5",), "non-contiguous"),
         (("1,Radiant,100,0,5,5", "1,Radiant,100,0,5,5"), "non-contiguous"),
-        (("1,Radiant,100,0,5,5", "1,Radiant,100,1,5,5", "1,Radiant,100,2,5,5",
-          "1,Dire,101,0,5,5", "1,Dire,101,1,5,5", "1,Dire,101,2,5,5",
-          "1,Radiant,100,4,5,5", "1,Radiant,100,5,5,5"),
-         "non-contiguous timestamps for player 100"),
         (("1,Radiant,100,0,5,5", "1,Radiant,100,1,5,5", "1,Dire,101,0,5,5"), "different track lengths"),
         (("1,Neutral,100,0,5,5",), "Neutral"),
         (("1,Radiant,100,0,5",), "columns"),
@@ -312,6 +308,10 @@ class TestTrajectoryCsv:
         (("1,Radiant,100,0,5,-1",), r"cell \(5,-1\) outside"),
         (("1,Radiant,100,0,256,5",), "outside"),  # would wrap to 0 as uint8
         (("1,Radiant,100,0,5,-256",), "outside"),
+        (("1,Radiant,100,0,5,5", "1,Radiant,100,1,5,5", "1,Radiant,100,2,5,5",
+          "1,Dire,101,0,5,5", "1,Dire,101,1,5,5", "1,Dire,101,2,5,5",
+          "1,Radiant,100,4,5,5", "1,Radiant,100,5,5,5"),
+         "non-contiguous timestamps for player 100"),
     ])
     def test_malformed_rows_rejected(self, rows, message):
         with pytest.raises(ValueError, match=message):
