@@ -44,9 +44,6 @@ class RunConfig:
     m: int | str = 5  # or "auto" for the minimum-entropy heuristic
     delay: int = 1
     seed: int = 0
-    zone_map_path: str | None = None
-    legend_path: str | None = None
-    out_dir: str = "."
 
 
 def _workers_from_env() -> int:
@@ -485,16 +482,7 @@ def _synth_one(item):
 def cmd_synth(args) -> int:
     from . import synth
     zmap = _load_zone_map(args)
-    regimes = []
-    for regime_str in args.regime or []:
-        try:
-            name, sigma, rate = regime_str.split(":")
-            regimes.append((name, float(sigma), float(rate)))
-            SkillTier.parse(name)
-        except ValueError:
-            raise UsageError(f"bad --regime {regime_str!r}, want TIER:SIGMA:RATE") from None
-    if not regimes:
-        regimes = list(_DEFAULT_REGIMES)
+    regimes = args.regime or list(_DEFAULT_REGIMES)
 
     items = []
     match_id = args.first_id
@@ -552,6 +540,32 @@ def _read_config_file(argv: list[str]) -> dict[str, str]:
     except OSError as e:
         raise UsageError(f"cannot read config file: {e}") from None
     return settings
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+def _regime(text: str) -> tuple[str, float, float]:
+    """argparse type for TIER:SIGMA:RATE, held to the generator's own checks."""
+    from . import synth
+    try:
+        name, sigma, rate = text.split(":")
+        SkillTier.parse(name)
+        sigma, rate = float(sigma), float(rate)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r}, want TIER:SIGMA:RATE") from None
+    try:
+        synth.RegimeParams(sigma, rate, 1)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{text!r}: {e}") from None
+    return name, sigma, rate
 
 
 def _add_common(p: _Parser, *, meta_required: bool = False, zone_args: bool = False) -> None:
@@ -630,11 +644,11 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.set_defaults(fn=cmd_heatmap)
 
     p = sub.add_parser("synth", help="generate synthetic matches")
-    p.add_argument("--matches", type=int, default=5, help="matches per regime")
-    p.add_argument("--duration", type=int, default=900, help="match length, seconds")
-    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--matches", type=_int_at_least(1), default=5, help="matches per regime")
+    p.add_argument("--duration", type=_int_at_least(1), default=900, help="match length, seconds")
+    p.add_argument("--seed", type=_int_at_least(0), default=cfg.seed)
     p.add_argument("--first-id", type=int, default=1, help="first match id")
-    p.add_argument("--regime", action="append",
+    p.add_argument("--regime", action="append", type=_regime,
                    help="TIER:SIGMA:RATE, repeatable (default: three planted tiers)")
     p.add_argument("--map", dest="zone_map", help="zone pixmap (P3/P6 PPM)")
     p.add_argument("--legend", help="zone legend text file")

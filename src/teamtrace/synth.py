@@ -52,8 +52,8 @@ class RegimeParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.spread_sigma < 0:
-            raise ValueError("spread_sigma cannot be negative")
+        if not 0 <= self.spread_sigma < float("inf"):
+            raise ValueError("spread_sigma must be finite and non-negative")
         if not 0 < self.switch_rate < 60.0 / MIN_SWITCH_GAP_S:
             raise ValueError(
                 f"switch_rate must be in (0, {60.0 / MIN_SWITCH_GAP_S}) per minute"
@@ -77,9 +77,11 @@ _interior_cache: dict[int, tuple] = {}
 _MAX_POOL = 256
 
 
-def _zone_interiors(zmap: ZoneMap, radius: int = 2) -> dict[ZoneLabel, np.ndarray]:
-    """(n, 2) interior cells per zone: cells whose full (2r+1)^2
-    neighborhood shares their label, so small jitter cannot escape."""
+def _zone_interiors(zmap: ZoneMap, radius: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior cells of every zone, stacked by label index: (labels, width,
+    2) cells, their squared norms (+inf past each zone's pool) and the pool
+    sizes. An interior cell's full (2r+1)^2 neighborhood shares its label,
+    so small jitter cannot escape."""
     key = id(zmap.codes)
     hit = _interior_cache.get(key)
     if hit is not None and hit[0] is zmap.codes:
@@ -92,7 +94,7 @@ def _zone_interiors(zmap: ZoneMap, radius: int = 2) -> dict[ZoneLabel, np.ndarra
     for dx in range(2 * radius + 1):
         for dy in range(2 * radius + 1):
             same &= padded[dx : dx + size, dy : dy + size] == codes
-    interiors = {}
+    pools = []
     for label in ZoneLabel:
         mask = same & (codes == np.uint8(_LABEL_INDEX[label]))
         xs, ys = np.nonzero(mask)
@@ -100,7 +102,14 @@ def _zone_interiors(zmap: ZoneMap, radius: int = 2) -> dict[ZoneLabel, np.ndarra
         if len(pool) > _MAX_POOL:
             stride = -(-len(pool) // _MAX_POOL)
             pool = pool[::stride]
-        interiors[label] = pool
+        pools.append(pool)
+    sizes = np.array([len(pool) for pool in pools])
+    cells = np.zeros((len(pools), sizes.max(), 2))
+    norms = np.full((len(pools), sizes.max()), np.inf)
+    for i, pool in enumerate(pools):
+        cells[i, : len(pool)] = pool
+        norms[i, : len(pool)] = (pool * pool).sum(axis=1)
+    interiors = (cells, norms, sizes)
 
     if len(_interior_cache) > 4:
         _interior_cache.clear()
@@ -124,42 +133,39 @@ def _switch_times(rng: np.random.Generator, rate_per_min: float, match_len_s: in
 def _team_positions(
     rng: np.random.Generator,
     params: RegimeParams,
-    interiors: dict[ZoneLabel, np.ndarray],
+    interiors: tuple[np.ndarray, np.ndarray, np.ndarray],
     base: ZoneLabel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(5, T+1, 2) integer cells and float32 sub-cell offsets for one team."""
     n = 5
     length = params.match_len_s + 1
+    pool_cells, pool_norms, pool_sizes = interiors
     for label in (base,) + _TARGET_ZONES:
-        if len(interiors[label]) == 0:
+        if pool_sizes[_LABEL_INDEX[label]] == 0:
             raise ValueError(f"zone map has no interior cells for {label}")
 
     event_secs = [0] + _switch_times(rng, params.switch_rate, params.match_len_s)
     n_events = len(event_secs)
 
-    # zone per event: spawn in the base, then always move somewhere new
-    zones = [base]
-    for _ in range(1, n_events):
-        choices = [z for z in _TARGET_ZONES if z is not zones[-1]]
-        zones.append(choices[rng.integers(len(choices))])
-
-    refs = np.empty((n_events, 2))
-    for i, zone in enumerate(zones):
-        pool = interiors[zone]
-        refs[i] = pool[rng.integers(len(pool))]
+    # zone per event: spawn in the base, then always move somewhere new;
+    # each draw picks among the targets other than the one just left
+    zones = [_LABEL_INDEX[base]]
+    if n_events > 1:
+        k = len(_TARGET_ZONES)
+        prev = -1
+        for pick in rng.integers(0, [k] + [k - 1] * (n_events - 2)).tolist():
+            prev = pick + (0 <= prev <= pick)
+            zones.append(_LABEL_INDEX[_TARGET_ZONES[prev]])
+    zones = np.array(zones)
+    refs = pool_cells[zones, rng.integers(0, pool_sizes[zones])]
 
     # each player anchors to the interior cell nearest a Gaussian
-    # displacement of the event's reference cell; batched per zone
+    # displacement of the event's reference cell: the argmin of squared
+    # distance, whose |proposal|^2 term is constant per row
     proposals = refs[:, None, :] + rng.normal(0.0, params.spread_sigma, (n_events, n, 2))
-    anchors = np.empty((n_events, n, 2))
-    for zone in set(zones):
-        pool = interiors[zone]
-        idx = [i for i, z in enumerate(zones) if z is zone]
-        flat = proposals[idx].reshape(-1, 2)
-        # argmin of squared distance; the |proposal|^2 term is constant per row
-        scores = (pool * pool).sum(axis=1)[None, :] - 2.0 * (flat @ pool.T)
-        nearest = scores.argmin(axis=1).reshape(len(idx), n)
-        anchors[idx] = pool[nearest]
+    pools = pool_cells[zones]
+    scores = pool_norms[zones][:, None, :] - 2.0 * (proposals @ pools.transpose(0, 2, 1))
+    anchors = pools[np.arange(n_events)[:, None], scores.argmin(axis=2)]
 
     spans = np.diff(np.asarray(event_secs + [length]))
     timeline = np.repeat(anchors, spans, axis=0).transpose(1, 0, 2)
@@ -193,16 +199,19 @@ def generate_match(
     """Produce one DTL2 stream plus its metadata.
 
     Fully deterministic: the same (seed, params) always yields identical
-    bytes. Both teams must share the match length.
+    bytes. The seed must be non-negative and both teams must share the
+    match length.
     """
     if params_radiant.match_len_s != params_dire.match_len_s:
         raise ValueError("both teams must use the same match length")
     if not 1 <= tick_interval_ms <= 999:
         raise ValueError("tick_interval_ms must be in [1, 999]")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     duration = params_radiant.match_len_s
 
     root = np.random.SeedSequence(
-        entropy=(abs(int(seed)), params_radiant.seed, params_dire.seed)
+        entropy=(int(seed), params_radiant.seed, params_dire.seed)
     )
     meta_ss, radiant_ss, dire_ss = root.spawn(3)
     meta_rng = np.random.default_rng(meta_ss)
@@ -242,8 +251,9 @@ def generate_match(
     updates["vx"] = offs[ents_u, secs_u, 0]
     updates["vy"] = offs[ents_u, secs_u, 1]
 
-    frame_secs = np.unique(secs_u)
-    counts = np.bincount(secs_u, minlength=duration + 1)[frame_secs]
+    per_sec = np.bincount(secs_u, minlength=duration + 1)
+    frame_secs = np.flatnonzero(per_sec)
+    counts = per_sec[frame_secs]
     ticks = tick_for_second(frame_secs.astype(np.int64), tick_interval_ms)
 
     stream = _pack_frames(header, ticks, counts, updates)

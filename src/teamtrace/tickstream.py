@@ -33,6 +33,9 @@ second, the latest tick wins.
 Sub-cell offsets are stored as binary32 and are rounded to that grid on
 write; on the format's value domain decode(encode(x)) == x and re-encoding
 a decoded stream reproduces the input bytes exactly.
+
+Decoding and resampling are array passes over the whole stream: the walk
+from one frame head to the next is the only per-frame loop.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from math import isfinite
+from numbers import Integral
 from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
@@ -55,11 +59,14 @@ PLAYER_COUNT = 10
 _HEADER = struct.Struct("<4sHQHB")
 _SLOT = struct.Struct("<BBI")
 _FRAME_HEAD = struct.Struct("<IH")
-_UPDATE = struct.Struct("<BBBff")
+# numpy view of one frame head; matches _FRAME_HEAD byte for byte
+_HEAD_DTYPE = np.dtype([("tick", "<u4"), ("count", "<u2")])
+# the binary32 rounding boundary: doubles at or above it round to infinity
+_F32_LIMIT = 2.0**128 - 2.0**103
 
 HEADER_SIZE = _HEADER.size + PLAYER_COUNT * _SLOT.size
 
-# numpy view of one update; matches _UPDATE byte for byte
+# numpy view of one update (format table above)
 UPDATE_DTYPE = np.dtype(
     [("entity", "u1"), ("x", "u1"), ("y", "u1"), ("vx", "<f4"), ("vy", "<f4")]
 )
@@ -95,9 +102,6 @@ class StreamHeader:
     players: tuple[PlayerSlot, ...]
     tick_interval_ms: int = DEFAULT_TICK_INTERVAL_MS
     version: int = FORMAT_VERSION
-
-    def entity_ids(self) -> frozenset[int]:
-        return frozenset(p.entity_id for p in self.players)
 
 
 class FrameUpdate(NamedTuple):
@@ -172,18 +176,19 @@ def encode(header: StreamHeader, frames: Iterable[Frame]) -> bytes:
 
     The first frame must be a tick-0 keyframe carrying all ten entities;
     ticks must strictly increase, entities must be declared and unique per
-    frame, and cells must fit the 128x128 grid.
+    frame, cells must fit the 128x128 grid and offsets must be finite
+    binary32 values.
     """
     _check_header(header)
     frames = list(frames)
     if not frames:
         raise StreamFormatError("a stream needs at least the tick-0 keyframe")
-    known = header.entity_ids()
+    known = {p.entity_id for p in header.players}
 
-    chunks = [_pack_header(header)]
+    ticks, counts, rows = [], [], []
     prev_tick = -1
     for idx, frame in enumerate(frames):
-        if not 0 <= frame.tick < 1 << 32:
+        if not (isinstance(frame.tick, Integral) and 0 <= frame.tick < 1 << 32):
             raise StreamFormatError(f"frame {idx}: tick out of uint32 range")
         if frame.tick <= prev_tick:
             raise StreamFormatError(
@@ -192,7 +197,8 @@ def encode(header: StreamHeader, frames: Iterable[Frame]) -> bytes:
         prev_tick = frame.tick
         if len(frame.updates) >= 1 << 16:
             raise StreamFormatError(f"frame {idx}: too many updates")
-        chunks.append(_FRAME_HEAD.pack(frame.tick, len(frame.updates)))
+        ticks.append(frame.tick)
+        counts.append(len(frame.updates))
         in_frame = set()
         for u in frame.updates:
             if u.entity_id not in known:
@@ -204,20 +210,37 @@ def encode(header: StreamHeader, frames: Iterable[Frame]) -> bytes:
                     f"frame {idx}: duplicate entity {u.entity_id}"
                 )
             in_frame.add(u.entity_id)
-            if not (0 <= u.cell_x < GRID_SIZE and 0 <= u.cell_y < GRID_SIZE):
+            if not (isinstance(u.cell_x, Integral) and isinstance(u.cell_y, Integral)
+                    and 0 <= u.cell_x < GRID_SIZE and 0 <= u.cell_y < GRID_SIZE):
                 raise StreamFormatError(
                     f"frame {idx}: cell ({u.cell_x},{u.cell_y}) out of range"
                 )
             if not (isfinite(u.vx) and isfinite(u.vy)):
                 raise StreamFormatError(f"frame {idx}: non-finite sub-cell offset")
-            chunks.append(_UPDATE.pack(*u))
+            if not (abs(u.vx) < _F32_LIMIT and abs(u.vy) < _F32_LIMIT):
+                raise StreamFormatError(f"frame {idx}: sub-cell offset outside the binary32 range")
+            rows.append(u)
 
     key = frames[0]
     if key.tick != 0 or {u.entity_id for u in key.updates} != known:
         raise StreamFormatError(
             "first frame must be a tick-0 keyframe covering all entities"
         )
-    return b"".join(chunks)
+    return _pack_frames(header, np.array(ticks, dtype=np.int64), np.array(counts, dtype=np.int64),
+                        np.array(rows, dtype=UPDATE_DTYPE))
+
+
+def _head_bytes(heads: np.ndarray) -> np.ndarray:
+    """(frames, 6) byte positions of the frame heads starting at ``heads``."""
+    return heads[:, None] + np.arange(_FRAME_HEAD.size)
+
+
+def _update_mask(size: int, heads: np.ndarray) -> np.ndarray:
+    """True on every byte of a ``size``-byte stream but its header and frame heads."""
+    mask = np.ones(size, dtype=bool)
+    mask[:HEADER_SIZE] = False
+    mask[_head_bytes(heads)] = False
+    return mask
 
 
 def _pack_frames(
@@ -226,31 +249,30 @@ def _pack_frames(
     counts: np.ndarray,
     updates: np.ndarray,
 ) -> bytes:
-    """Array-based serializer for trusted producers (no per-update checks).
+    """Array serializer; :func:`encode` validates its frames and calls it.
 
     ``updates`` is an UPDATE_DTYPE array holding every frame's updates
     back to back; ``counts[i]`` updates belong to the frame at ``ticks[i]``.
-    Produces bytes identical to :func:`encode` on equivalent input.
+    Only the header is checked, so the arrays must already be valid.
     """
     _check_header(header)
-    chunks = [_pack_header(header)]
-    raw = updates.tobytes()
-    pos = 0
-    pack = _FRAME_HEAD.pack
-    unit = UPDATE_DTYPE.itemsize
-    for tick, cnt in zip(ticks.tolist(), counts.tolist()):
-        chunks.append(pack(tick, cnt))
-        end = pos + cnt * unit
-        chunks.append(raw[pos:end])
-        pos = end
-    return b"".join(chunks)
+    heads = (HEADER_SIZE + _FRAME_HEAD.size * np.arange(counts.size)
+             + UPDATE_DTYPE.itemsize * (np.cumsum(counts) - counts))
+    head = np.empty(counts.size, dtype=_HEAD_DTYPE)
+    head["tick"] = ticks
+    head["count"] = counts
+    buf = np.empty(HEADER_SIZE + head.nbytes + updates.nbytes, dtype=np.uint8)
+    buf[:HEADER_SIZE] = np.frombuffer(_pack_header(header), dtype=np.uint8)
+    buf[_head_bytes(heads)] = head.view(np.uint8).reshape(-1, _FRAME_HEAD.size)
+    buf[_update_mask(buf.size, heads)] = np.ascontiguousarray(updates).view(np.uint8)
+    return buf.tobytes()
 
 
 def _scan(data: bytes):
-    """Parse and validate stream structure.
+    """Parse the header and validate the frame structure.
 
-    Returns (header, frame_ticks, frame_counts, update_offsets) where
-    ``update_offsets[i]`` is the byte offset of frame i's update block.
+    Returns (header, heads, ticks, counts) as int64 arrays, ``heads[i]``
+    being the byte offset of frame i's 6-byte head.
     """
     if len(data) < _HEADER.size:
         raise StreamFormatError("truncated header", offset=len(data))
@@ -280,82 +302,70 @@ def _scan(data: bytes):
         off += _SLOT.size
     header = StreamHeader(match_id, tuple(slots), interval, version)
 
-    ticks: list[int] = []
-    counts: list[int] = []
-    offsets: list[int] = []
-    prev_tick = -1
+    # the only per-frame loop: step from head to head by each update count
     n = len(data)
-    while off < n:
-        if n - off < _FRAME_HEAD.size:
-            raise StreamFormatError("truncated frame header", offset=off)
-        tick, count = _FRAME_HEAD.unpack_from(data, off)
-        if tick <= prev_tick:
-            raise StreamFormatError(
-                f"tick {tick} not greater than previous {prev_tick}", offset=off
-            )
-        prev_tick = tick
-        off += _FRAME_HEAD.size
-        need = count * _UPDATE.size
-        if n - off < need:
-            raise StreamFormatError("truncated mid-update", offset=off)
-        ticks.append(tick)
-        counts.append(count)
-        offsets.append(off)
-        off += need
-    if not ticks:
+    heads = []
+    append, unpack = heads.append, _FRAME_HEAD.unpack_from
+    head_size, unit = _FRAME_HEAD.size, UPDATE_DTYPE.itemsize
+    while off + head_size <= n:
+        append(off)
+        off += head_size + unit * unpack(data, off)[1]
+    heads = np.array(heads, dtype=np.int64)
+    head = np.frombuffer(data, dtype=np.uint8)[_head_bytes(heads)].view(_HEAD_DTYPE)[:, 0]
+    ticks = head["tick"].astype(np.int64)
+
+    # the first error in stream order wins; a frame's tick comes before its updates
+    back = np.flatnonzero(ticks[1:] <= ticks[:-1])
+    if back.size:
+        i = int(back[0]) + 1
+        raise StreamFormatError(
+            f"tick {ticks[i]} not greater than previous {ticks[i - 1]}", offset=int(heads[i])
+        )
+    if off > n:
+        raise StreamFormatError("truncated mid-update", offset=int(heads[-1]) + _FRAME_HEAD.size)
+    if off < n:
+        raise StreamFormatError("truncated frame header", offset=off)
+    if not heads.size:
         raise StreamFormatError("stream contains no frames", offset=off)
-    return header, ticks, counts, offsets
+    return header, heads, ticks, head["count"].astype(np.int64)
 
 
-def _update_arrays(data, header, ticks, counts, offsets):
-    """Concatenate every frame's update block and validate contents."""
-    unit = UPDATE_DTYPE.itemsize
-    total = sum(counts)
-    buf = bytearray(total * unit)
-    pos = 0
-    for cnt, off in zip(counts, offsets):
-        nbytes = cnt * unit
-        buf[pos : pos + nbytes] = data[off : off + nbytes]
-        pos += nbytes
-    upd = np.frombuffer(bytes(buf), dtype=UPDATE_DTYPE)
-    counts_arr = np.asarray(counts, dtype=np.int64)
-    ticks_arr = np.asarray(ticks, dtype=np.int64)
-    upd_ticks = np.repeat(ticks_arr[counts_arr > 0], counts_arr[counts_arr > 0])
-    upd_frame = np.repeat(
-        np.arange(len(counts), dtype=np.int64)[counts_arr > 0],
-        counts_arr[counts_arr > 0],
-    )
+def _update_arrays(data, header, heads, ticks, counts):
+    """Every update as one UPDATE_DTYPE array, validated, with its tick and
+    header slot."""
+    upd = np.frombuffer(data, dtype=np.uint8)[_update_mask(len(data), heads)].view(UPDATE_DTYPE)
+    frame = np.repeat(np.arange(heads.size), counts)
 
-    known = np.zeros(256, dtype=bool)
-    known[[p.entity_id for p in header.players]] = True
+    slot_of = np.full(256, -1, dtype=np.int64)
+    slot_of[[p.entity_id for p in header.players]] = np.arange(PLAYER_COUNT)
     ent = upd["entity"]
-    bad = ~known[ent]
+    slot = slot_of[ent]
+    bad = slot < 0
     if bad.any():
         i = int(np.argmax(bad))
         raise StreamFormatError(
             f"unknown entity_id {int(ent[i])}",
-            offset=offsets[int(upd_frame[i])],
+            offset=int(heads[frame[i]]) + _FRAME_HEAD.size,
         )
     over = (upd["x"] >= GRID_SIZE) | (upd["y"] >= GRID_SIZE)
     if over.any():
         i = int(np.argmax(over))
         raise StreamFormatError(
             f"cell ({int(upd['x'][i])},{int(upd['y'][i])}) out of range",
-            offset=offsets[int(upd_frame[i])],
+            offset=int(heads[frame[i]]) + _FRAME_HEAD.size,
         )
     if upd.size and not (np.isfinite(upd["vx"]).all() and np.isfinite(upd["vy"]).all()):
         raise StreamFormatError("non-finite sub-cell offset")
-    # entity unique within frame: (frame, entity) pairs must not repeat
-    key = upd_frame << 8 | ent.astype(np.int64)
-    if np.unique(key).size != key.size:
+    # entity unique within frame: no (frame, slot) pair may repeat
+    if upd.size and np.bincount(frame * PLAYER_COUNT + slot).max() > 1:
         raise StreamFormatError("duplicate entity within a frame")
-    return upd, upd_ticks
+    return upd, ticks[frame], slot
 
 
 def stream_summary(data: bytes) -> tuple[StreamHeader, int]:
     """Validate structure and return (header, last standardized second)."""
-    header, ticks, _, _ = _scan(data)
-    return header, tick_to_second(ticks[-1], header.tick_interval_ms)
+    header, _, ticks, _ = _scan(data)
+    return header, tick_to_second(int(ticks[-1]), header.tick_interval_ms)
 
 
 def decode(data: bytes) -> tuple[StreamHeader, tuple[Frame, ...]]:
@@ -366,14 +376,14 @@ def decode(data: bytes) -> tuple[StreamHeader, tuple[Frame, ...]]:
     ticks and trailing garbage, naming the offending byte offset where it
     is meaningful.
     """
-    header, ticks, counts, offsets = _scan(data)
-    _update_arrays(data, header, ticks, counts, offsets)  # content validation
-
-    frames = []
-    for tick, cnt, off in zip(ticks, counts, offsets):
-        block = np.frombuffer(data, dtype=UPDATE_DTYPE, count=cnt, offset=off)
-        updates = tuple(map(FrameUpdate._make, block.tolist()))
-        frames.append(Frame(tick, updates))
+    header, heads, ticks, counts = _scan(data)
+    upd, _, _ = _update_arrays(data, header, heads, ticks, counts)
+    rows = list(map(FrameUpdate._make, upd.tolist()))
+    ends = np.cumsum(counts).tolist()
+    frames = (
+        Frame(tick, tuple(rows[end - cnt : end]))
+        for tick, cnt, end in zip(ticks.tolist(), counts.tolist(), ends)
+    )
     return header, tuple(frames)
 
 
@@ -384,24 +394,26 @@ def tracks_from_stream(data: bytes, duration_s: int):
     objects; returns (header, tracks) with tracks as (10, duration_s+1, 2)
     uint8 cell coordinates in header slot order.
     """
-    header, ticks, counts, offsets = _scan(data)
-    upd, upd_ticks = _update_arrays(data, header, ticks, counts, offsets)
+    header, heads, ticks, counts = _scan(data)
+    upd, upd_ticks, slot = _update_arrays(data, header, heads, ticks, counts)
     secs = (upd_ticks * header.tick_interval_ms + 500) // 1000
 
-    wanted = np.arange(duration_s + 1)
-    out = np.empty((PLAYER_COUNT, duration_s + 1, 2), dtype=np.uint8)
-    ent = upd["entity"]
-    for i, slot in enumerate(header.players):
-        mask = ent == slot.entity_id
-        esecs = secs[mask]
-        if esecs.size == 0 or esecs[0] != 0:
-            raise StreamFormatError(
-                f"player {slot.player_id} (entity {slot.entity_id}) has no tick-0 position"
-            )
-        idx = np.searchsorted(esecs, wanted, side="right") - 1
-        out[i, :, 0] = upd["x"][mask][idx]
-        out[i, :, 1] = upd["y"][mask][idx]
-    return header, out
+    at_zero = np.zeros(PLAYER_COUNT, dtype=bool)
+    at_zero[slot[secs == 0]] = True
+    if not at_zero.all():
+        p = header.players[int(np.argmin(at_zero))]
+        raise StreamFormatError(
+            f"player {p.player_id} (entity {p.entity_id}) has no tick-0 position"
+        )
+    # update indices grow with the tick, so the latest update per (slot,
+    # second) is a maximum and carrying it forward is a running maximum;
+    # int32 keeps the index grid at twice the size of the uint8 output
+    latest = np.full((PLAYER_COUNT, duration_s + 1), -1, dtype=np.int32)
+    due = secs <= duration_s
+    key = slot * (duration_s + 1) + secs
+    np.maximum.at(latest.reshape(-1), key[due], np.flatnonzero(due).astype(np.int32))
+    np.maximum.accumulate(latest, axis=1, out=latest)
+    return header, np.stack((upd["x"], upd["y"]), axis=-1).take(latest, axis=0)
 
 
 def write_trajectory_csv(header: StreamHeader, cells: np.ndarray, out: TextIO) -> None:
@@ -472,13 +484,3 @@ def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...],
     cells = xy[by_player].astype(np.uint8).reshape(counts.size, counts[0], 2)
     players = tuple((Team(team), pid) for team, pid in slots[order].tolist())
     return int(mids[0]), players, cells
-
-
-def write_stream(path, header: StreamHeader, frames: Iterable[Frame]) -> None:
-    with open(path, "wb") as f:
-        f.write(encode(header, frames))
-
-
-def read_stream(path) -> tuple[StreamHeader, tuple[Frame, ...]]:
-    with open(path, "rb") as f:
-        return decode(f.read())

@@ -83,11 +83,6 @@ class ZoneMap:
     def label_at(self, x: int, y: int) -> ZoneLabel:
         return _LABELS[self.codes[x, y]]
 
-    def cells_of(self, label: ZoneLabel) -> np.ndarray:
-        """(n, 2) array of the (x, y) cells carrying a label."""
-        xs, ys = np.nonzero(self.codes == _LABEL_INDEX[label])
-        return np.column_stack((xs, ys))
-
 
 def parse_legend(text: str) -> dict[ZoneLabel, Color]:
     """Parse ``R G B zone_name`` lines into a label -> color mapping."""

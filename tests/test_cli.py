@@ -97,6 +97,20 @@ class TestSynthAndIngest:
         for name in ("1.dtl2", "2.dtl2", "3.dtl2", "matches.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-4"], "argument --seed: must be at least 0, got -4"),
+        (["--regime", "Professional:nan:2"],
+         "argument --regime: 'Professional:nan:2': spread_sigma must be finite and non-negative"),
+        (["--matches", "0"], "argument --matches: must be at least 1, got 0"),
+        (["--duration", "0"], "argument --duration: must be at least 1, got 0"),
+    ], ids=["negative-seed", "nan-sigma", "zero-matches", "zero-duration"])
+    def test_bad_synth_flag_is_one_line_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        code = main(["synth", "--matches", "1", "--duration", "10", *flags, "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"teamtrace synth: error: {message}\n"
+        assert not out.exists()
+
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         assert main(["synth", "--matches", "2", "--duration", "60", "--seed", "4",

@@ -38,6 +38,11 @@ class TestRegimeParams:
         with pytest.raises(ValueError):
             RegimeParams(5.0, 2.0, 0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="spread_sigma must be finite"):
+            RegimeParams(sigma, 2.0, 60)
+
 
 class TestGenerateMatch:
     def test_same_seed_is_byte_identical(self, zmap):
@@ -46,6 +51,12 @@ class TestGenerateMatch:
         s2, m2 = generate_match(p, p, zmap, seed=5)
         assert s1 == s2
         assert m1 == m2
+
+    def test_negative_seed_rejected(self, zmap):
+        # a negative seed used to generate the match of its absolute value
+        p = RegimeParams(8.0, 4.0, 30)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            generate_match(p, p, zmap, seed=-4)
 
     def test_different_seeds_differ(self, zmap):
         p = RegimeParams(8.0, 4.0, 120)

@@ -87,6 +87,25 @@ class TestEncode:
         with pytest.raises(StreamFormatError, match="tick"):
             encode(make_header(), frames)
 
+    @pytest.mark.parametrize("vx", [1e39, -1e39, 2.0**128 - 2.0**103])
+    def test_offset_beyond_binary32_rejected(self, vx):
+        # finite doubles that round to infinity as binary32 are a format
+        # error, not an OverflowError from the packer
+        frame = Frame(0, tuple(FrameUpdate(i, 1, 1, vx if i == 4 else 0.0, 0.0) for i in range(10)))
+        with pytest.raises(StreamFormatError, match="frame 0: sub-cell offset outside the binary32 range"):
+            encode(make_header(), [frame])
+
+    def test_largest_binary32_offset_round_trips(self):
+        big = float(np.finfo(np.float32).max)
+        frame = Frame(0, tuple(FrameUpdate(i, 1, 1, -big if i == 4 else 0.0, big) for i in range(10)))
+        data = encode(make_header(), [frame])
+        assert decode(data)[1] == (frame,)
+
+    def test_non_integer_cell_rejected(self):
+        frame = Frame(0, tuple(FrameUpdate(i, 1.5 if i == 2 else 1, 1, 0.0, 0.0) for i in range(10)))
+        with pytest.raises(StreamFormatError, match="out of range"):
+            encode(make_header(), [frame])
+
 
 class TestDecode:
     def test_bad_magic(self):

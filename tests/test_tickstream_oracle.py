@@ -189,7 +189,7 @@ def same_match(zmap, sigma, rate, duration, seed, **kw):
         assert got[1] == want[1]
 
 
-@pytest.mark.parametrize("duration", [1, 5, 300])
+@pytest.mark.parametrize("duration", [1, 5, 300, 12])  # 12 s: mostly one switch
 def test_generate_match_durations(zmap, duration):
     for seed in range(4):
         same_match(zmap, 8.0, 6.0, duration, seed)
