@@ -75,6 +75,9 @@ _interior_cache: dict[int, tuple] = {}
 # Anchor candidates per zone are capped so the per-event nearest-cell
 # projection stays cheap; the stride keeps them spread over the zone.
 _MAX_POOL = 256
+# Events projected at once: bounds the (events, 5, pool) score array of a
+# long match to about 0.6 MB.
+_EVENT_BLOCK = 64
 
 
 def _zone_interiors(zmap: ZoneMap, radius: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,9 +166,14 @@ def _team_positions(
     # displacement of the event's reference cell: the argmin of squared
     # distance, whose |proposal|^2 term is constant per row
     proposals = refs[:, None, :] + rng.normal(0.0, params.spread_sigma, (n_events, n, 2))
-    pools = pool_cells[zones]
-    scores = pool_norms[zones][:, None, :] - 2.0 * (proposals @ pools.transpose(0, 2, 1))
-    anchors = pools[np.arange(n_events)[:, None], scores.argmin(axis=2)]
+    anchors = np.empty((n_events, n, 2))
+    for lo in range(0, n_events, _EVENT_BLOCK):
+        block = slice(lo, lo + _EVENT_BLOCK)
+        pools = pool_cells[zones[block]]
+        scores = proposals[block] @ pools.transpose(0, 2, 1)
+        scores *= -2.0  # -(2 p.c) + |c|^2 is exactly |c|^2 - 2 p.c, without temporaries
+        scores += pool_norms[zones[block]][:, None, :]
+        anchors[block] = pools[np.arange(len(pools))[:, None], scores.argmin(axis=2)]
 
     spans = np.diff(np.asarray(event_secs + [length]))
     timeline = np.repeat(anchors, spans, axis=0).transpose(1, 0, 2)

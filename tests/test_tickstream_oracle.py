@@ -9,7 +9,8 @@ import pytest
 
 import tickstream_oracle as oracle
 from genstreams import mutate_stream, random_stream
-from teamtrace import synth, tickstream
+from teamtrace import tickstream
+from teamtrace.core import Team
 from teamtrace.synth import RegimeParams, generate_match
 from teamtrace.tickstream import HEADER_SIZE, UPDATE_DTYPE, StreamFormatError
 from teamtrace.zonemap import _LABEL_INDEX, ZoneLabel, ZoneMap
@@ -51,13 +52,9 @@ def check_stream(data: bytes, durations=(0, 1)):
         )
 
 
-def frame_heads(spans):
-    return [start for start, _ in spans]
-
-
 def targeted_mutations(rng, data, spans):
     """Mutations aimed at the order of the structural and content checks."""
-    heads = frame_heads(spans)
+    heads = [start for start, _ in spans]
     out = []
     buf = bytearray(data)
     if len(heads) >= 2:
@@ -189,7 +186,7 @@ def same_match(zmap, sigma, rate, duration, seed, **kw):
         assert got[1] == want[1]
 
 
-@pytest.mark.parametrize("duration", [1, 5, 300, 12])  # 12 s: mostly one switch
+@pytest.mark.parametrize("duration", [1, 5, 300, 12, 900])  # 12 s: mostly one switch; 900 s: over 64 events
 def test_generate_match_durations(zmap, duration):
     for seed in range(4):
         same_match(zmap, 8.0, 6.0, duration, seed)
@@ -205,7 +202,7 @@ def test_generate_match_zero_sigma_and_single_event(zmap):
     for seed in range(3):
         same_match(zmap, 0.0, 2.0, 200, seed)
         same_match(zmap, 6.0, 0.1, 4, seed)  # no switch fits in 4 s: one event
-        same_match(zmap, 0.0, 0.1, 3, seed, winner=synth.Team.DIRE, match_id=5)
+        same_match(zmap, 0.0, 0.1, 3, seed, winner=Team.DIRE, match_id=5)
 
 
 def test_generate_match_unequal_pools(zmap):
