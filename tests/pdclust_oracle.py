@@ -1,10 +1,12 @@
 """Reference copies of the loop-based pdclust paths, kept as test oracles.
 
 These are the per-series ordinal-pattern ranking (a fancy-index gather plus
-a stable argsort per series), the FANNY sweep on numpy k-vectors and the
-per-point silhouette loop. The library computes the same numbers with
-batched array code; the tests in ``test_pdclust_oracle.py`` require equal
-bytes, so every function here must stay exactly as written.
+a stable argsort per series), PAM with one gather and one sum per BUILD
+candidate and per SWAP trial, the FANNY sweep on numpy k-vectors (started
+from that PAM) and the per-point silhouette loop. The library computes the
+same numbers with batched array code; the tests in
+``test_pdclust_oracle.py`` require equal bytes, so every function here must
+stay exactly as written.
 """
 from __future__ import annotations
 
@@ -15,10 +17,12 @@ import numpy as np
 from teamtrace.pdclust import (
     DissimilarityMatrix,
     FuzzyResult,
+    PamResult,
     SilhouetteResult,
     _as_dissimilarity,
+    _tie_argmax,
+    _tie_argmin,
     min_series_length,
-    pam,
 )
 
 _FACTORIAL = (1, 1, 2, 6, 24, 120, 720, 5040)
@@ -70,6 +74,61 @@ def min_entropy_dimension(series_set, m_values=range(2, 8), delay: int = 1) -> i
         if h < best_h - 1e-15:
             best_m, best_h = m, float(h)
     return best_m
+
+
+def pam(matrix, k: int, seed: int = 0) -> PamResult:
+    d = _as_dissimilarity(matrix)
+    n = d.shape[0]
+    if not 2 <= k <= n:
+        raise ValueError(f"k must be in [2, {n}], got {k}")
+    rng = np.random.default_rng(seed)
+
+    if k == n:
+        medoids = tuple(range(n))
+        return PamResult(medoids, np.arange(n), 0.0)
+
+    # BUILD: start from the most central point, then repeatedly add the
+    # candidate with the largest total reduction in nearest-medoid cost.
+    first = _tie_argmin(d.sum(axis=1), rng)
+    selected = [first]
+    nearest = d[:, first].copy()
+    while len(selected) < k:
+        gains = np.full(n, -np.inf)
+        for cand in range(n):
+            if cand in selected:
+                continue
+            gains[cand] = np.maximum(nearest - d[:, cand], 0.0).sum()
+        pick = _tie_argmax(gains, rng)
+        selected.append(pick)
+        nearest = np.minimum(nearest, d[:, pick])
+
+    # SWAP: replace (medoid, non-medoid) while total cost strictly drops.
+    medoid_set = set(selected)
+    cost = float(np.min(d[:, selected], axis=1).sum())
+    improved = True
+    while improved:
+        improved = False
+        best = (0.0, None, None)
+        for mi in list(medoid_set):
+            others = [m for m in medoid_set if m != mi]
+            for h in range(n):
+                if h in medoid_set:
+                    continue
+                trial = others + [h]
+                trial_cost = float(np.min(d[:, trial], axis=1).sum())
+                delta = trial_cost - cost
+                if delta < best[0] - 1e-12:
+                    best = (delta, mi, h)
+        if best[1] is not None:
+            medoid_set.discard(best[1])
+            medoid_set.add(best[2])
+            cost += best[0]
+            improved = True
+
+    medoids = tuple(sorted(medoid_set))
+    labels = np.argmin(d[:, medoids], axis=1)
+    cost = float(d[np.arange(n), np.asarray(medoids)[labels]].sum())
+    return PamResult(medoids, labels, cost)
 
 
 def _fanny_objective(d: np.ndarray, powers: np.ndarray) -> float:

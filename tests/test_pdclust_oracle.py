@@ -1,7 +1,7 @@
 """The batched pdclust paths must reproduce the loop-based reference in
 ``pdclust_oracle`` bit for bit: pattern frequencies, divergence matrices,
-the minimum-entropy dimension, FANNY memberships and traces, and
-silhouette widths are compared through ``.tobytes()``."""
+the minimum-entropy dimension, PAM medoids, labels and costs, FANNY
+memberships, traces and starting partitions, and silhouette widths."""
 import numpy as np
 import pytest
 
@@ -99,6 +99,19 @@ def planted_matrix(n, seed):
     return distance_matrix(planted_series(n, 301, seed), m=4).values
 
 
+def assert_same_start(got, want):
+    assert got.medoids == want.medoids
+    assert np.array_equal(got.labels, want.labels)
+    assert got.labels.dtype == want.labels.dtype
+    assert got.cost == want.cost
+
+
+def assert_same_pam(d, k, seed=0):
+    got = pam(d, k, seed)
+    assert_same_start(got, oracle.pam(d, k, seed))
+    return got
+
+
 def assert_same_fanny(d, **kw):
     got, want = fanny(d, **kw), oracle.fanny(d, **kw)
     assert same_bytes(got.memberships, want.memberships)
@@ -107,7 +120,48 @@ def assert_same_fanny(d, **kw):
     assert (got.n_iter, got.converged, got.objective) == (
         want.n_iter, want.converged, want.objective,
     )
+    assert_same_start(got.start, want.start)
     return got
+
+
+def tie_heavy_matrix(rng, n):
+    """Symmetric small-integer dissimilarities: many exact ties in every
+    BUILD gain and SWAP cost."""
+    d = np.triu(rng.integers(0, 4, size=(n, n)).astype(np.float64), 1)
+    return d + d.T
+
+
+def test_pam_and_fanny_on_600_planted_series_match_oracle():
+    d = planted_matrix(600, seed=600)  # the series count of the lib_many benchmark
+    for k in (2, 3, 4, 5):
+        assert_same_pam(d, k)
+    assert_same_fanny(d, k=3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_pam_and_fanny_on_tie_heavy_matrices_match_oracle(seed):
+    rng = np.random.default_rng(100 + seed)
+    for n in (3, 4, 5, 6, 9, 14, 25):
+        d = tie_heavy_matrix(rng, n)
+        for k in sorted({*range(2, min(5, n) + 1), n}):
+            assert_same_pam(d, k, seed)
+        for k in sorted({*range(2, min(5, n - 1) + 1), n - 1}):
+            assert_same_fanny(d, k=k, seed=seed, max_iter=40)
+    assert_same_pam(np.zeros((7, 7)), 3, seed)
+
+
+def test_pam_and_fanny_on_raw_nearly_symmetric_array_match_oracle():
+    # allclose-symmetric but not exactly: the library reads columns of
+    # this array, as the oracle does, not rows
+    d = planted_matrix(45, seed=9).copy()
+    rng = np.random.default_rng(9)
+    upper = np.triu_indices(45, 1)
+    d[upper] += rng.uniform(0.0, 1e-10, size=upper[0].size)
+    assert not np.array_equal(d, d.T)
+    for k in (2, 3, 4, 5, 45):
+        assert_same_pam(d, k, seed=1)
+    for k in (2, 3, 44):
+        assert_same_fanny(d, k=k, seed=1)
 
 
 @pytest.mark.parametrize("n", [6, 60, 240])
