@@ -372,22 +372,12 @@ def cmd_anova(args) -> int:
 def cmd_cluster(args) -> int:
     import json
     from . import pdclust
-    if args.k < 2:
-        raise UsageError("k must be at least 2")
-    if args.r <= 1:
-        raise UsageError("membership exponent r must exceed 1")
     labeled = _series_for(_load_labeled_matches(args))
     series = [ls.series.values for ls in labeled]
     ids = [f"{ls.series.match_id}:{ls.series.team}" for ls in labeled]
     facet_labels = [(ls.tier, ls.won) for ls in labeled]
 
-    if args.m == "auto":
-        m = pdclust.min_entropy_dimension(series, delay=args.delay)
-    else:
-        try:
-            m = int(args.m)
-        except ValueError:
-            raise UsageError(f"--m must be an integer or 'auto', got {args.m!r}") from None
+    m = pdclust.min_entropy_dimension(series, delay=args.delay) if args.m == "auto" else args.m
     matrix = pdclust.distance_matrix(series, m=m, delay=args.delay, ids=ids)
     fuzzy = pdclust.fanny(matrix, k=args.k, r=args.r, seed=args.seed)
     sil_fuzzy = pdclust.silhouette(matrix, fuzzy.crisp)
@@ -481,8 +471,10 @@ def _synth_one(item):
 
 def cmd_synth(args) -> int:
     from . import synth
-    zmap = _load_zone_map(args)
     regimes = args.regime or list(_DEFAULT_REGIMES)
+    if args.first_id + len(regimes) * args.matches > 1 << 64:  # match ids are uint64
+        raise UsageError(f"--first-id {args.first_id} puts the last match id past 2**64 - 1")
+    zmap = _load_zone_map(args)
 
     items = []
     match_id = args.first_id
@@ -542,13 +534,25 @@ def _read_config_file(argv: list[str]) -> dict[str, str]:
     return settings
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
+def _int_at_least(low: int, *words: str):
+    """argparse type: an integer no smaller than ``low``, or one of ``words``."""
+    def parse(text: str) -> int | str:
+        if text in words:
+            return text
         if (value := int(text)) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+def _float_above(low: float):
+    """argparse type: a finite float greater than ``low``."""
+    def parse(text: str) -> float:
+        if not (math.isfinite(value := float(text)) and value > low):
+            raise argparse.ArgumentTypeError(f"must be finite and above {low:g}, got {text}")
+        return value
+    parse.__name__ = "float"
     return parse
 
 
@@ -618,7 +622,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("phases", help="per-category distance aggregates by phase")
     _add_common(p, meta_required=True)
-    p.add_argument("--window", type=int, default=cfg.window_s,
+    p.add_argument("--window", type=_int_at_least(1), default=cfg.window_s,
                    help="trailing moving-average window, seconds")
     p.set_defaults(fn=cmd_phases)
 
@@ -629,10 +633,12 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("cluster", help="permutation-distribution clustering")
     _add_common(p, meta_required=True)
-    p.add_argument("--k", type=int, default=cfg.k, help="cluster count")
-    p.add_argument("--r", type=float, default=cfg.r, help="membership exponent")
-    p.add_argument("--m", default=str(cfg.m), help="embedding dimension or 'auto'")
-    p.add_argument("--delay", type=int, default=cfg.delay)
+    p.add_argument("--k", type=_int_at_least(2), default=cfg.k, help="cluster count")
+    p.add_argument("--r", type=_float_above(1.0), default=cfg.r, help="membership exponent")
+    # m above pdclust.MAX_EMBED_DIM is left to pdclust, a data error as today
+    p.add_argument("--m", type=_int_at_least(2, "auto"), default=str(cfg.m),
+                   help="embedding dimension or 'auto'")
+    p.add_argument("--delay", type=_int_at_least(1), default=cfg.delay)
     p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--min-dwell", type=int, default=cfg.min_dwell_s)
     p.set_defaults(fn=cmd_cluster)
@@ -647,7 +653,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--matches", type=_int_at_least(1), default=5, help="matches per regime")
     p.add_argument("--duration", type=_int_at_least(1), default=900, help="match length, seconds")
     p.add_argument("--seed", type=_int_at_least(0), default=cfg.seed)
-    p.add_argument("--first-id", type=int, default=1, help="first match id")
+    p.add_argument("--first-id", type=_int_at_least(0), default=1, help="first match id")
     p.add_argument("--regime", action="append", type=_regime,
                    help="TIER:SIGMA:RATE, repeatable (default: three planted tiers)")
     p.add_argument("--map", dest="zone_map", help="zone pixmap (P3/P6 PPM)")

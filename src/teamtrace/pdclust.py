@@ -12,7 +12,10 @@ pattern distributions, which is symmetric and bounded by 2. One kernel
 embeds every series: it concatenates consecutive series into bounded
 batches and codes all windows of a batch with slice comparisons and one
 bincount, so embedding a set is one linear pass over its values for fixed
-m, and an N x N matrix adds one Gram product.
+m, and an N x N matrix adds one Gram product. PAM's BUILD and SWAP are
+array passes too: each step scores every candidate at once by row sums
+that add the same values in the same order as a per-candidate loop, so
+medoids, labels and costs are unchanged.
 """
 from __future__ import annotations
 
@@ -155,17 +158,6 @@ def perm_distribution(series, m: int = DEFAULT_EMBED_DIM, delay: int = 1) -> Per
     return PermDistribution(m, delay, freqs[0])
 
 
-def pd_divergence(p: PermDistribution, q: PermDistribution) -> float:
-    """Squared Hellinger distance sum((sqrt(p)-sqrt(q))^2), in [0, 2]."""
-    if p.m != q.m or p.delay != q.delay:
-        raise ValueError(
-            f"distributions not comparable: m={p.m},delay={p.delay} "
-            f"vs m={q.m},delay={q.delay}"
-        )
-    d = np.sqrt(p.freqs) - np.sqrt(q.freqs)
-    return float((d * d).sum())
-
-
 @dataclass(frozen=True)
 class DissimilarityMatrix:
     """Symmetric divergence matrix with zero diagonal, entries in [0, 2]."""
@@ -292,11 +284,20 @@ class PamResult:
     cost: float = 0.0
 
 
+def _columns(d: np.ndarray) -> np.ndarray:
+    """C-contiguous array whose row h is column h of ``d``: ``d`` itself when
+    it is exactly symmetric. Its row sums add as ``d[:, h].sum()`` does."""
+    if d.flags.c_contiguous and np.array_equal(d, d.T):
+        return d
+    return np.ascontiguousarray(d.T)
+
+
 def pam(matrix, k: int, seed: int = 0) -> PamResult:
     """Partitioning around medoids: greedy BUILD then best-improvement
     SWAP to a local optimum of total dissimilarity to the nearest medoid.
 
     Deterministic for a given matrix; the seed only breaks exact ties.
+    BUILD steps and SWAP medoids each score all candidates in one array pass.
     """
     d = _as_dissimilarity(matrix)
     n = d.shape[0]
@@ -307,21 +308,20 @@ def pam(matrix, k: int, seed: int = 0) -> PamResult:
     if k == n:
         medoids = tuple(range(n))
         return PamResult(medoids, np.arange(n), 0.0)
+    cols = _columns(d)
+    work = np.empty_like(cols)
 
     # BUILD: start from the most central point, then repeatedly add the
     # candidate with the largest total reduction in nearest-medoid cost.
     first = _tie_argmin(d.sum(axis=1), rng)
     selected = [first]
-    nearest = d[:, first].copy()
+    nearest = cols[first].copy()
     while len(selected) < k:
-        gains = np.full(n, -np.inf)
-        for cand in range(n):
-            if cand in selected:
-                continue
-            gains[cand] = np.maximum(nearest - d[:, cand], 0.0).sum()
+        gains = np.maximum(np.subtract(nearest, cols, out=work), 0.0, out=work).sum(axis=1)
+        gains[selected] = -np.inf
         pick = _tie_argmax(gains, rng)
         selected.append(pick)
-        nearest = np.minimum(nearest, d[:, pick])
+        nearest = np.minimum(nearest, cols[pick])
 
     # SWAP: replace (medoid, non-medoid) while total cost strictly drops.
     medoid_set = set(selected)
@@ -331,15 +331,12 @@ def pam(matrix, k: int, seed: int = 0) -> PamResult:
         improved = False
         best = (0.0, None, None)
         for mi in list(medoid_set):
-            others = [m for m in medoid_set if m != mi]
-            for h in range(n):
-                if h in medoid_set:
-                    continue
-                trial = others + [h]
-                trial_cost = float(np.min(d[:, trial], axis=1).sum())
-                delta = trial_cost - cost
-                if delta < best[0] - 1e-12:
-                    best = (delta, mi, h)
+            others = cols[[m for m in medoid_set if m != mi]].min(axis=0)
+            deltas = np.minimum(others, cols, out=work).sum(axis=1) - cost
+            # only a candidate below the best so far can win the scan
+            for h in np.flatnonzero(deltas < best[0] - 1e-12).tolist():
+                if h not in medoid_set and deltas[h] < best[0] - 1e-12:
+                    best = (float(deltas[h]), mi, h)
         if best[1] is not None:
             medoid_set.discard(best[1])
             medoid_set.add(best[2])
@@ -367,13 +364,16 @@ class FuzzyResult:
     start: PamResult = field(repr=False)  # the PAM partition memberships started from
 
 
-def _fanny_objective(d: np.ndarray, powers: np.ndarray) -> float:
+def _fanny_state(d: np.ndarray, u: np.ndarray, r: float):
+    """Membership powers p = u**r, s_v = sum_j p_jv, t = d @ p,
+    num_v = sum_ij p_iv p_jv d(i,j) and the objective they give."""
+    powers = u**r
     s = powers.sum(axis=0)
     t = d @ powers
     num = np.einsum("iv,iv->v", powers, t)
     # a cluster with no membership mass contributes nothing (0/0 limit)
     alive = s > 1e-100
-    return float((num[alive] / (2.0 * s[alive])).sum())
+    return powers, s, t, num, float((num[alive] / (2.0 * s[alive])).sum())
 
 
 def fanny(
@@ -399,20 +399,18 @@ def fanny(
     n = d.shape[0]
     if not 2 <= k < n:
         raise ValueError(f"k must be in [2, {n - 1}], got {k}")
-    if r <= 1.0:
-        raise ValueError("membership exponent must exceed 1")
+    if not (math.isfinite(r) and r > 1.0):
+        raise ValueError(f"membership exponent must be finite and exceed 1, got {r}")
 
-    start = pam(d, k, seed)
+    start = pam(matrix, k, seed)  # a DissimilarityMatrix is not checked again
     u = np.full((n, k), 0.1 / (k - 1))
     u[np.arange(n), start.labels] = 0.9
 
-    powers = u**r
-    s = powers.sum(axis=0)
-    t = d @ powers
-    num = np.einsum("iv,iv->v", powers, t)
-    objective = _fanny_objective(d, powers)
+    powers, s, t, num, objective = _fanny_state(d, u, r)
     trace = [objective]
     sharp = 1.0 / (r - 1.0)
+    cols = _columns(d)
+    step = np.empty((k, n))
 
     converged = False
     sweeps = 0
@@ -425,7 +423,7 @@ def fanny(
         # in the last bit. Each object's power row is read before its first
         # update in a sweep, so the sweep-start powers serve for every delta.
         # t is updated transposed, (k, n), so the rank-1 update runs along n.
-        s, num, powers_before = s.tolist(), num.tolist(), powers.tolist()
+        s, num = s.tolist(), num.tolist()
         t_by_cluster = t.T.copy()
         for i in range(n):
             ti = t_by_cluster[:, i].tolist()
@@ -450,23 +448,20 @@ def fanny(
                 if starved:
                     w = np.where(np.isfinite(a), w, 0.0)
                 row = w / w.sum()
-            delta = [p - q for p, q in zip((row**r).tolist(), powers_before[i])]
+            delta_col = (row**r - powers[i])[:, None]
+            delta = delta_col[:, 0].tolist()
             for v in clusters:
                 num[v] += 2.0 * delta[v] * ti[v]
                 s[v] += delta[v]
-            t_by_cluster += np.outer(delta, d[:, i])
+            np.multiply(delta_col, cols[i], out=step)
+            t_by_cluster += step
             u[i] = row
 
         # refresh aggregates to kill incremental drift, then evaluate
-        powers = u**r
-        s = powers.sum(axis=0)
-        t = d @ powers
-        num = np.einsum("iv,iv->v", powers, t)
-        new_objective = _fanny_objective(d, powers)
+        powers, s, t, num, new_objective = _fanny_state(d, u, r)
 
         if new_objective > objective + 1e-12 * max(1.0, abs(objective)):
             u = u_before  # numerical floor reached; keep the better state
-            powers = u**r
             converged = True
             break
         trace.append(new_objective)
@@ -594,9 +589,3 @@ def write_matrix_csv(out: TextIO, matrix: DissimilarityMatrix) -> None:
     for row in matrix.values:
         w.writerow([repr(v) for v in row.tolist()])
 
-
-def read_matrix_csv(inp: TextIO) -> DissimilarityMatrix:
-    reader = csv.reader(inp)
-    ids = tuple(next(reader))
-    rows = [[float(v) for v in row] for row in reader]
-    return DissimilarityMatrix(ids, np.asarray(rows, dtype=np.float64))

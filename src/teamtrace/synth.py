@@ -288,6 +288,8 @@ def read_metadata_csv(inp: TextIO) -> dict[int, MatchMeta]:
             raise ValueError(f"line {line}: expected {len(METADATA_COLUMNS)} fields, got {len(row)}")
         mid, tier, winner, dur = row
         meta = MatchMeta(int(mid), SkillTier.parse(tier), Team.parse(winner), int(dur))
+        if meta.duration_s < 0:
+            raise ValueError(f"line {line}: negative duration_s {meta.duration_s}")
         first = line_of.setdefault(meta.match_id, line)
         if first != line:
             raise ValueError(f"duplicate match id {meta.match_id} on lines {first} and {line}")

@@ -7,10 +7,15 @@ from that PAM) and the per-point silhouette loop. The library computes the
 same numbers with batched array code; the tests in
 ``test_pdclust_oracle.py`` require equal bytes, so every function here must
 stay exactly as written.
+
+It also holds two helpers only the tests need: the pairwise divergence of
+two distributions and a reader for the CSV ``write_matrix_csv`` writes.
 """
 from __future__ import annotations
 
+import csv
 import math
+from typing import TextIO
 
 import numpy as np
 
@@ -18,6 +23,7 @@ from teamtrace.pdclust import (
     DissimilarityMatrix,
     FuzzyResult,
     PamResult,
+    PermDistribution,
     SilhouetteResult,
     _as_dissimilarity,
     _tie_argmax,
@@ -26,6 +32,24 @@ from teamtrace.pdclust import (
 )
 
 _FACTORIAL = (1, 1, 2, 6, 24, 120, 720, 5040)
+
+
+def pd_divergence(p: PermDistribution, q: PermDistribution) -> float:
+    """Squared Hellinger distance sum((sqrt(p)-sqrt(q))^2), in [0, 2]."""
+    if p.m != q.m or p.delay != q.delay:
+        raise ValueError(
+            f"distributions not comparable: m={p.m},delay={p.delay} "
+            f"vs m={q.m},delay={q.delay}"
+        )
+    d = np.sqrt(p.freqs) - np.sqrt(q.freqs)
+    return float((d * d).sum())
+
+
+def read_matrix_csv(inp: TextIO) -> DissimilarityMatrix:
+    reader = csv.reader(inp)
+    ids = tuple(next(reader))
+    rows = [[float(v) for v in row] for row in reader]
+    return DissimilarityMatrix(ids, np.asarray(rows, dtype=np.float64))
 
 
 def _pattern_ranks(x: np.ndarray, m: int, delay: int) -> np.ndarray:

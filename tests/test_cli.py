@@ -103,12 +103,24 @@ class TestSynthAndIngest:
          "argument --regime: 'Professional:nan:2': spread_sigma must be finite and non-negative"),
         (["--matches", "0"], "argument --matches: must be at least 1, got 0"),
         (["--duration", "0"], "argument --duration: must be at least 1, got 0"),
-    ], ids=["negative-seed", "nan-sigma", "zero-matches", "zero-duration"])
+        (["--first-id", "-1"], "argument --first-id: must be at least 0, got -1"),
+    ], ids=["negative-seed", "nan-sigma", "zero-matches", "zero-duration", "negative-first-id"])
     def test_bad_synth_flag_is_one_line_usage_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "o"
         code = main(["synth", "--matches", "1", "--duration", "10", *flags, "-o", str(out)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"teamtrace synth: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first_id", [2**64 - 1, 2**64 - 3, 2**64])
+    def test_match_ids_past_uint64_are_one_line_usage_error(self, tmp_path, capsys, first_id):
+        out = tmp_path / "o"
+        code = main(["synth", "--matches", "2", "--duration", "5", "--first-id", str(first_id),
+                     "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"teamtrace: error: --first-id {first_id} puts the last match id past 2**64 - 1\n"
+        )
         assert not out.exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
@@ -160,6 +172,24 @@ class TestSynthAndIngest:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"teamtrace: error: {meta}: {message}\n"
 
+    @pytest.mark.parametrize("duration", ["-1", "-3"])
+    def test_negative_metadata_duration_is_one_line_data_error(
+        self, workspace, tmp_path, capsys, duration
+    ):
+        lines = (workspace / "streams" / "matches.csv").read_text().splitlines()
+        match_id, tier, winner, _ = lines[1].split(",")
+        lines[1] = ",".join([match_id, tier, winner, duration])
+        meta = tmp_path / "meta.csv"
+        meta.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = main(["ingest", str(workspace / "streams" / f"{match_id}.dtl2"),
+                     "--meta", str(meta), "-o", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"teamtrace: error: {meta}: line 2: negative duration_s {duration}\n"
+        )
+        assert not list(out.glob("*.csv"))
+
     def test_corrupt_trajectory_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("match_id,team,player_id,t,x,y\n1,Radiant,100,0,5,5\n1,Radiant,100,7,5,5\n")
@@ -201,6 +231,19 @@ class TestAnalysisCommands:
         assert rows
         assert all(r["phase"] == "Early" for r in rows)  # matches are 150 s long
         assert all(int(r["n_matches"]) >= 1 for r in rows)
+
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_phases_window_below_one_is_usage_error(self, workspace, tmp_path, capsys, window):
+        out = tmp_path / "o"
+        assert main([
+            "phases", "--trajectories", str(workspace / "traj"),
+            "--meta", str(workspace / "streams" / "matches.csv"),
+            "--window", window, "-o", str(out),
+        ]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"teamtrace phases: error: argument --window: must be at least 1, got {window}\n"
+        )
+        assert not out.exists()
 
     def test_phases_covers_all_three_game_phases(self, tmp_path):
         streams, traj, out = tmp_path / "st", tmp_path / "tr", tmp_path / "out"
@@ -292,6 +335,22 @@ class TestAnalysisCommands:
             "--meta", str(workspace / "streams" / "matches.csv"),
             "--k", "1", "-o", str(workspace / "clbad"),
         ]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--r", "nan"], "argument --r: must be finite and above 1, got nan"),
+        (["--r", "inf"], "argument --r: must be finite and above 1, got inf"),
+        (["--delay", "0"], "argument --delay: must be at least 1, got 0"),
+        (["--m", "1"], "argument --m: must be at least 2, got 1"),
+    ], ids=["nan-r", "inf-r", "zero-delay", "m-one"])
+    def test_bad_cluster_flag_is_one_line_usage_error(self, workspace, tmp_path, capsys,
+                                                       flags, message):
+        out = tmp_path / "o"
+        assert main([
+            "cluster", "--trajectories", str(workspace / "traj"),
+            "--meta", str(workspace / "streams" / "matches.csv"), *flags, "-o", str(out),
+        ]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"teamtrace cluster: error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("m, message", [
         ("7", "series of length 6 too short for m=7, delay=1 (needs >= 7)"),

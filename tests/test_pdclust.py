@@ -13,12 +13,11 @@ from teamtrace.pdclust import (
     fanny,
     min_entropy_dimension,
     pam,
-    pd_divergence,
     perm_distribution,
-    read_matrix_csv,
     silhouette,
     write_matrix_csv,
 )
+from pdclust_oracle import pd_divergence, read_matrix_csv
 
 
 # ── independent oracles ────────────────────────────────────────────────────
@@ -425,6 +424,11 @@ class TestFanny:
             fanny(d, k=4)
         with pytest.raises(ValueError):
             fanny(d, k=2, r=1.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, r):
+        with pytest.raises(ValueError, match="membership exponent must be finite"):
+            fanny(np.zeros((4, 4)), k=2, r=r)
 
     def test_extreme_matrices_stay_finite(self):
         # bimodal zero-or-max dissimilarities with many clusters used to
