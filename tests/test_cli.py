@@ -157,6 +157,8 @@ class TestSynthAndIngest:
     @pytest.mark.parametrize("extra,message", [
         ("1,Normal,Dire,150", "duplicate match id 1 on lines 2 and 8"),
         ("7,Normal,Dire", "line 8: expected 4 fields, got 3"),
+        ("7,Normal,Dire,-1", "line 8: negative duration_s -1"),
+        ("7,Normal,Dire,-3", "line 8: negative duration_s -3"),
     ])
     @pytest.mark.parametrize("command", ["zones", "ingest"])
     def test_bad_metadata_row_is_one_line_data_error(
@@ -171,24 +173,6 @@ class TestSynthAndIngest:
         code = main([command, *args, "--meta", str(meta), "-o", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"teamtrace: error: {meta}: {message}\n"
-
-    @pytest.mark.parametrize("duration", ["-1", "-3"])
-    def test_negative_metadata_duration_is_one_line_data_error(
-        self, workspace, tmp_path, capsys, duration
-    ):
-        lines = (workspace / "streams" / "matches.csv").read_text().splitlines()
-        match_id, tier, winner, _ = lines[1].split(",")
-        lines[1] = ",".join([match_id, tier, winner, duration])
-        meta = tmp_path / "meta.csv"
-        meta.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "o"
-        code = main(["ingest", str(workspace / "streams" / f"{match_id}.dtl2"),
-                     "--meta", str(meta), "-o", str(out)])
-        assert code == EXIT_DATA
-        assert capsys.readouterr().err == (
-            f"teamtrace: error: {meta}: line 2: negative duration_s {duration}\n"
-        )
-        assert not list(out.glob("*.csv"))
 
     def test_corrupt_trajectory_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
