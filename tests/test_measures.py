@@ -8,6 +8,7 @@ from teamtrace.core import Phase, SkillTier, Team
 from teamtrace.measures import (
     DistanceSeries,
     LabeledSeries,
+    ZoneChangeStats,
     ZoneVisit,
     aggregate_by_category,
     change_count,
@@ -111,6 +112,34 @@ class TestZoneChangeStats:
         assert st_.rate_per_min == 0.0
 
 
+class TestStatsFromCodesOracle:
+    """``stats_from_codes`` against the ``dwell_filter`` visits it counts."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        labels=st.lists(st.integers(0, len(ZoneLabel) - 1), min_size=1, max_size=4, unique=True),
+        duration=st.integers(1, 400),
+        min_dwell=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_dwell_filter_counts(self, dtype, labels, duration, min_dwell, seed):
+        # geometric run lengths (mean 3 s) make stays shorter than the
+        # dwell threshold common
+        rng = np.random.default_rng(seed)
+        runs = rng.geometric(1 / 3, size=duration)
+        row = np.repeat(rng.choice(labels, size=duration), runs)[:duration].astype(dtype)
+        changes = change_count(dwell_filter(row, min_dwell))
+        want = ZoneChangeStats(4, changes, duration, changes * 60.0 / duration)
+        got = stats_from_codes(4, row, min_dwell)
+        assert got == want
+        assert type(got.changes) is int and type(got.rate_per_min) is float
+        with pytest.raises(ValueError, match="^zero-duration match$"):
+            stats_from_codes(4, row[:0], min_dwell)
+        with pytest.raises(ValueError, match="^min_dwell_s must be at least 1$"):
+            stats_from_codes(4, row, 0)
+
+
 class TestZoneSequence:
     def test_one_label_per_second(self, zmap):
         cells = np.full((3, 2, 2), 64, dtype=np.uint8)  # 3 players x 2 seconds
@@ -166,6 +195,38 @@ class TestTeamDistance:
         assert team_distance(perm) == pytest.approx(d, abs=1e-9)
         assert team_distance(pts + np.array([11.0, -3.0])) == pytest.approx(d, abs=1e-9)
         assert team_distance(pts * 2.5) == pytest.approx(2.5 * d, abs=1e-9)
+
+
+def pair_loop_distance_values(cells):
+    """The pair-by-pair ``distance_values``: reference for the array pass."""
+    pts = cells.astype(np.float64)
+    n = pts.shape[0]
+    total = np.zeros(pts.shape[1])
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            d = pts[i] - pts[j]
+            total += np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    return total / (n * (n - 1) / 2)
+
+
+class TestDistanceValuesOracle:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        duration=st.integers(1, 400),
+        span=st.sampled_from([1, 4, 128]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_pair_loop(self, dtype, n, duration, span, seed):
+        rng = np.random.default_rng(seed)
+        if dtype is np.uint8:
+            cells = rng.integers(0, span, size=(n, duration, 2)).astype(np.uint8)
+        else:
+            cells = (rng.uniform(0, span, size=(n, duration, 2))).astype(dtype)
+        got, want = distance_values(cells), pair_loop_distance_values(cells)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _match(cells_fn, duration=5):
