@@ -500,8 +500,8 @@ def cmd_synth(args) -> int:
 def cmd_zonemap_draft(args) -> int:
     from .defaultmap import DEFAULT_LEGEND_TEXT
     legend = parse_legend(Path(args.legend).read_text()) if args.legend else parse_legend(DEFAULT_LEGEND_TEXT)
-    provisional = ZoneLabel.parse(args.provisional)
-    draft = draft_zone_map(_occupancy(_trajectory_files(args.trajectories)), legend, provisional)
+    visits = _occupancy(_trajectory_files(args.trajectories))
+    draft = draft_zone_map(visits, legend, args.provisional)
     out = _out_dir(args)
     (out / "draft_map.ppm").write_bytes(render_zone_map(draft))
     return EXIT_OK
@@ -572,6 +572,17 @@ def _regime(text: str) -> tuple[str, float, float]:
     return name, sigma, rate
 
 
+def _provisional_zone(text: str) -> ZoneLabel:
+    """argparse type for the zone a draft map paints: any zone but void."""
+    try:
+        label = ZoneLabel.parse(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    if label is ZoneLabel.VOID:
+        raise argparse.ArgumentTypeError("provisional zone must be non-void")
+    return label
+
+
 def _add_common(p: _Parser, *, meta_required: bool = False, zone_args: bool = False) -> None:
     p.add_argument("--trajectories", nargs="+", required=True,
                    help="trajectory CSV files or directories of them")
@@ -612,7 +623,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("zones", help="per-player zone-change table")
     _add_common(p, meta_required=True, zone_args=True)
-    p.add_argument("--min-dwell", type=int, default=cfg.min_dwell_s,
+    p.add_argument("--min-dwell", type=_int_at_least(1), default=cfg.min_dwell_s,
                    help="seconds a stay must last to count")
     p.set_defaults(fn=cmd_zones)
 
@@ -628,7 +639,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("anova", help="one-way ANOVA over tiers and outcomes")
     _add_common(p, meta_required=True, zone_args=True)
-    p.add_argument("--min-dwell", type=int, default=cfg.min_dwell_s)
+    p.add_argument("--min-dwell", type=_int_at_least(1), default=cfg.min_dwell_s)
     p.set_defaults(fn=cmd_anova)
 
     p = sub.add_parser("cluster", help="permutation-distribution clustering")
@@ -640,7 +651,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="embedding dimension or 'auto'")
     p.add_argument("--delay", type=_int_at_least(1), default=cfg.delay)
     p.add_argument("--seed", type=int, default=cfg.seed)
-    p.add_argument("--min-dwell", type=int, default=cfg.min_dwell_s)
+    p.add_argument("--min-dwell", type=_int_at_least(1), default=cfg.min_dwell_s)
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("heatmap", help="visit-count grid and grayscale pixmap")
@@ -664,7 +675,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub.add_parser("zonemap-draft", help="draft zone map from observed cells")
     p.add_argument("--trajectories", nargs="+", required=True)
     p.add_argument("--legend", help="legend supplying the draft colors")
-    p.add_argument("--provisional", default=str(ZoneLabel.JUNGLE),
+    p.add_argument("--provisional", type=_provisional_zone, default=str(ZoneLabel.JUNGLE),
                    help="zone name painted on visited cells")
     p.add_argument("-o", "--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_zonemap_draft)

@@ -41,26 +41,12 @@ class SkillTier(Enum):
     def __str__(self) -> str:
         return self.value
 
-    @property
-    def mmr_range(self) -> tuple[int, float] | None:
-        """Half-open MMR interval for rated tiers; None for Professional,
-        which is assigned from tournament provenance rather than rating."""
-        return _MMR_RANGES[self]
-
     @classmethod
     def parse(cls, text: str) -> "SkillTier":
         for tier in cls:
             if tier.value.lower() == text.strip().lower():
                 return tier
         raise ValueError(f"unknown skill tier: {text!r}")
-
-
-_MMR_RANGES: dict[SkillTier, tuple[int, float] | None] = {
-    SkillTier.NORMAL: (2000, 3000),
-    SkillTier.HIGH: (3000, 4000),
-    SkillTier.VERY_HIGH: (4000, math.inf),
-    SkillTier.PROFESSIONAL: None,
-}
 
 
 class Phase(Enum):

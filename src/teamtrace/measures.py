@@ -3,6 +3,10 @@ arrays: zone codes with dwell filtering and change rates, intra-team
 distance series, moving averages and cross-match aggregation by tier /
 outcome / phase.
 
+Zone changes and, for short rows, team distance are array passes per
+row; ``dwell_filter``, which lists the surviving visits, is kept as the
+reference the zone-change pass must equal.
+
 All functions are pure; matches can be processed concurrently.
 """
 from __future__ import annotations
@@ -133,13 +137,23 @@ def stats_from_codes(
     """Dwell-filtered zone changes for one player's per-second zone codes,
     normalized per minute.
 
-    The rate denominator is the observed time: one second per 1 Hz sample.
+    One array pass with ``dwell_filter``'s rule: runs shorter than
+    ``min_dwell_s`` drop out, and a change is a pair of adjacent surviving
+    runs in different zones. The rate denominator is the observed time:
+    one second per 1 Hz sample.
     """
     duration_s = int(codes.size)
     if duration_s == 0:
         raise ValueError("zero-duration match")
-    visits = dwell_filter(codes, min_dwell_s)
-    changes = change_count(visits)
+    if min_dwell_s < 1:
+        raise ValueError("min_dwell_s must be at least 1")
+    edge = np.empty(duration_s + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(codes[1:], codes[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    starts = bounds[:-1]
+    kept = codes[starts[bounds[1:] - starts >= min_dwell_s]]
+    changes = int(np.count_nonzero(kept[1:] != kept[:-1]))
     return ZoneChangeStats(player_id, changes, duration_s, changes * 60.0 / duration_s)
 
 
@@ -159,15 +173,37 @@ def team_distance(positions) -> float:
     return float(dists[iu].mean())
 
 
+# Largest pairs x seconds that distance_values takes in one array pass:
+# its (pairs, T, 2) float64 temporaries then stay under glibc's default
+# 128 KiB mmap threshold. Larger passes can lose to one pair at a time
+# (5 players, one core: 70 against 115 us at T = 901, but 280 against
+# 107 us at T = 1201).
+_PASS_PAIR_SECONDS = 6144
+
+
 def distance_values(cells: np.ndarray) -> np.ndarray:
-    """Per-second team distance for an (n, T, 2) cell array."""
+    """Per-second team distance for an (n, T, 2) cell array.
+
+    Short rows take every pair in one (pairs, T) array pass, long rows one
+    pair at a time. Either way the pair rows are added to the total one at
+    a time in (i, j) order, so each second rounds as a pair-by-pair loop
+    does (numpy's axis-0 sum would go pairwise when T is 1).
+    """
     pts = cells.astype(np.float64)
     n = pts.shape[0]
+    if n < 2:
+        raise ValueError("team distance needs at least 2 positions")
     total = np.zeros(pts.shape[1])
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            d = pts[i] - pts[j]
-            total += np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    if n * (n - 1) // 2 * total.size <= _PASS_PAIR_SECONDS:
+        d = np.concatenate([pts[i + 1:] - pts[i] for i in range(n - 1)])
+        d *= d
+        for row in np.sqrt(d[..., 0] + d[..., 1]):
+            total += row
+    else:
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                d = pts[i] - pts[j]
+                total += np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     return total / (n * (n - 1) / 2)
 
 

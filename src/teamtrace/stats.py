@@ -1,4 +1,4 @@
-"""One-way ANOVA and descriptive statistics.
+"""One-way ANOVA.
 
 The F-distribution upper tail is computed from the regularized incomplete
 beta function, evaluated with a Lentz-style continued fraction, so no
@@ -25,17 +25,6 @@ class AnovaResult:
     df_between: int
     df_within: int
     p: float
-
-
-@dataclass(frozen=True)
-class Description:
-    mean: float
-    variance: float
-    median: float
-    q1: float
-    q3: float
-    min: float
-    max: float
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -144,25 +133,6 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
         return AnovaResult(inf, df_between, df_within, 0.0)
     f = (ssb / df_between) / (ssw / df_within)
     return AnovaResult(float(f), df_between, df_within, f_upper_tail(f, df_between, df_within))
-
-
-def describe(values: Sequence[float]) -> Description:
-    """Mean, sample variance (N-1), median, linear-interpolation quartiles
-    and range. A single value has variance 0 by convention."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("cannot describe an empty sample")
-    variance = float(v.var(ddof=1)) if v.size > 1 else 0.0
-    q1, med, q3 = np.quantile(v, (0.25, 0.5, 0.75))
-    return Description(
-        mean=float(v.mean()),
-        variance=variance,
-        median=float(med),
-        q1=float(q1),
-        q3=float(q3),
-        min=float(v.min()),
-        max=float(v.max()),
-    )
 
 
 def format_p_value(p: float) -> str:

@@ -80,9 +80,6 @@ class ZoneMap:
             return NotImplemented
         return self.legend == other.legend and np.array_equal(self.codes, other.codes)
 
-    def label_at(self, x: int, y: int) -> ZoneLabel:
-        return _LABELS[self.codes[x, y]]
-
 
 def parse_legend(text: str) -> dict[ZoneLabel, Color]:
     """Parse ``R G B zone_name`` lines into a label -> color mapping."""
@@ -210,8 +207,8 @@ def load_zone_map(pixmap_bytes: bytes, legend_text: str) -> ZoneMap:
     return ZoneMap(codes, legend)
 
 
-def render_zone_map(zmap: ZoneMap, binary: bool = True) -> bytes:
-    """Render a ZoneMap back to canonical P6 (or P3) pixmap bytes.
+def render_zone_map(zmap: ZoneMap) -> bytes:
+    """Render a ZoneMap back to canonical P6 pixmap bytes.
 
     Inverse of load_zone_map for canonically written files.
     """
@@ -219,12 +216,8 @@ def render_zone_map(zmap: ZoneMap, binary: bool = True) -> bytes:
     for label, color in zmap.legend.items():
         palette[_LABEL_INDEX[label]] = color
     img_codes = zmap.codes.T[::-1, :]
-    pixels = palette[img_codes]
-    head = f"{'P6' if binary else 'P3'}\n{GRID_SIZE} {GRID_SIZE}\n255\n"
-    if binary:
-        return head.encode("ascii") + pixels.tobytes()
-    rows = [" ".join(str(v) for v in row.ravel()) for row in pixels]
-    return (head + "\n".join(rows) + "\n").encode("ascii")
+    head = f"P6\n{GRID_SIZE} {GRID_SIZE}\n255\n"
+    return head.encode("ascii") + palette[img_codes].tobytes()
 
 
 def draft_zone_map(

@@ -325,7 +325,8 @@ class TestAnalysisCommands:
         (["--r", "inf"], "argument --r: must be finite and above 1, got inf"),
         (["--delay", "0"], "argument --delay: must be at least 1, got 0"),
         (["--m", "1"], "argument --m: must be at least 2, got 1"),
-    ], ids=["nan-r", "inf-r", "zero-delay", "m-one"])
+        (["--min-dwell", "0"], "argument --min-dwell: must be at least 1, got 0"),
+    ], ids=["nan-r", "inf-r", "zero-delay", "m-one", "zero-min-dwell"])
     def test_bad_cluster_flag_is_one_line_usage_error(self, workspace, tmp_path, capsys,
                                                        flags, message):
         out = tmp_path / "o"
@@ -334,6 +335,28 @@ class TestAnalysisCommands:
             "--meta", str(workspace / "streams" / "matches.csv"), *flags, "-o", str(out),
         ]) == EXIT_USAGE
         assert capsys.readouterr().err == f"teamtrace cluster: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["zones", "--min-dwell", "0"], "argument --min-dwell: must be at least 1, got 0"),
+        (["anova", "--min-dwell", "0"], "argument --min-dwell: must be at least 1, got 0"),
+        (["zonemap-draft", "--provisional", "nowhere"],
+         "argument --provisional: unknown zone name: 'nowhere'"),
+        (["zonemap-draft", "--provisional", "void"],
+         "argument --provisional: provisional zone must be non-void"),
+    ], ids=["zones-zero-min-dwell", "anova-zero-min-dwell", "unknown-provisional",
+            "void-provisional"])
+    def test_bad_zone_flag_is_one_line_usage_error(self, workspace, tmp_path, capsys,
+                                                   argv, message):
+        command, *flags = argv
+        meta = ["--meta", str(workspace / "streams" / "matches.csv")]
+        if command == "zonemap-draft":
+            meta = []
+        out = tmp_path / "o"
+        assert main([
+            command, "--trajectories", str(workspace / "traj"), *meta, *flags, "-o", str(out),
+        ]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"teamtrace {command}: error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("m, message", [

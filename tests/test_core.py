@@ -1,4 +1,3 @@
-import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -72,12 +71,6 @@ class TestTierOfMmr:
     @given(st.integers(min_value=2000, max_value=20000))
     def test_professional_never_returned(self, mmr):
         assert tier_of_mmr(mmr) is not SkillTier.PROFESSIONAL
-
-    def test_mmr_ranges(self):
-        assert SkillTier.NORMAL.mmr_range == (2000, 3000)
-        assert SkillTier.HIGH.mmr_range == (3000, 4000)
-        assert SkillTier.VERY_HIGH.mmr_range == (4000, math.inf)
-        assert SkillTier.PROFESSIONAL.mmr_range is None
 
 
 class TestDomainTypes:

@@ -151,8 +151,8 @@ class TestZoneSequence:
     def test_crossing_changes_label_at_the_right_index(self, zmap):
         lane = (12, 60)   # west top-lane column
         jungle = (40, 80)
-        assert zmap.label_at(*lane) is ZoneLabel.TOP_LANE
-        assert zmap.label_at(*jungle) is ZoneLabel.JUNGLE
+        assert list(ZoneLabel)[zmap.codes[lane]] is ZoneLabel.TOP_LANE
+        assert list(ZoneLabel)[zmap.codes[jungle]] is ZoneLabel.JUNGLE
         labels = [list(ZoneLabel)[c] for c in zone_codes(_track((lane, 7), (jungle, 3)), zmap)]
         assert labels[6] is ZoneLabel.TOP_LANE
         assert labels[7] is ZoneLabel.JUNGLE

@@ -9,7 +9,6 @@ from scipy import stats as scipy_stats
 
 from teamtrace.stats import (
     AnovaResult,
-    describe,
     f_upper_tail,
     format_p_value,
     one_way_anova,
@@ -129,48 +128,6 @@ class TestIncompleteBeta:
             regularized_incomplete_beta(-1.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.0, 2.0, 1.5)
-
-
-class TestDescribe:
-    def test_single_value(self):
-        d = describe([5.0])
-        assert d.mean == 5.0
-        assert d.variance == 0.0
-        assert d.min == d.max == 5.0
-
-    def test_small_fixture(self):
-        d = describe([1, 2, 3, 4])
-        assert d.mean == 2.5
-        assert d.median == 2.5
-        assert d.q1 == 1.75 and d.q3 == 3.25  # linear interpolation
-        assert d.variance == pytest.approx(5 / 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            describe([])
-
-    def test_random_values_against_second_implementation(self):
-        rng = np.random.default_rng(13)
-        values = rng.normal(size=100).tolist()
-        d = describe(values)
-
-        n = len(values)
-        mean = sum(values) / n
-        variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-        ordered = sorted(values)
-
-        def quantile(q):
-            pos = q * (n - 1)
-            lo, hi = int(math.floor(pos)), int(math.ceil(pos))
-            frac = pos - lo
-            return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-        assert d.mean == pytest.approx(mean, abs=1e-12)
-        assert d.variance == pytest.approx(variance, abs=1e-12)
-        assert d.median == pytest.approx(quantile(0.5), abs=1e-12)
-        assert d.q1 == pytest.approx(quantile(0.25), abs=1e-12)
-        assert d.q3 == pytest.approx(quantile(0.75), abs=1e-12)
-        assert d.min == min(values) and d.max == max(values)
 
 
 class TestRendering:
