@@ -75,6 +75,8 @@ def _pool_map(fn, items: Sequence, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
+    # the pool starts all its processes up front, so never ask for more than items
+    workers = min(workers, len(items))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (workers * 4))))
 
@@ -650,7 +652,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--m", type=_int_at_least(2, "auto"), default=str(cfg.m),
                    help="embedding dimension or 'auto'")
     p.add_argument("--delay", type=_int_at_least(1), default=cfg.delay)
-    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--seed", type=_int_at_least(0), default=cfg.seed)
     p.add_argument("--min-dwell", type=_int_at_least(1), default=cfg.min_dwell_s)
     p.set_defaults(fn=cmd_cluster)
 

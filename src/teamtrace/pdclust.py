@@ -12,7 +12,12 @@ pattern distributions, which is symmetric and bounded by 2. One kernel
 embeds every series: it concatenates consecutive series into bounded
 batches and codes all windows of a batch with slice comparisons and one
 bincount, so embedding a set is one linear pass over its values for fixed
-m, and an N x N matrix adds one Gram product. PAM's BUILD and SWAP are
+m, and an N x N matrix adds one Gram product. The matrix peaks at the
+(N, m!) root frequencies plus one N x N buffer: the roots are written in
+place and dropped after the product, and the divergences are formed in
+that product's buffer. The m! columns stay, including patterns no series
+shows, because dropping them changes how BLAS groups the product's sums
+and so the last bits of the result. PAM's BUILD and SWAP are
 array passes too: each step scores every candidate at once by row sums
 that add the same values in the same order as a per-candidate loop, so
 medoids, labels and costs are unchanged.
@@ -209,11 +214,15 @@ def distance_matrix(
     xs = [_as_series(series, m, delay) for series in series_set]
     roots = np.empty((len(xs), _FACTORIAL[m]))
     for first, freqs in _pattern_freqs(xs, m, delay):
-        roots[first : first + len(freqs)] = np.sqrt(freqs)
-    gram = roots @ roots.T
-    d = 2.0 - 2.0 * gram
+        np.sqrt(freqs, out=roots[first : first + len(freqs)])
+    d = roots @ roots.T
+    del roots
+    # d = clip(triu(2 - 2 * gram) + its transpose, 0, 2), computed in place
+    np.multiply(d, 2.0, out=d)
+    np.subtract(2.0, d, out=d)
     d = np.triu(d, k=1)
-    d = np.clip(d + d.T, 0.0, 2.0)
+    d += d.T
+    np.clip(d, 0.0, 2.0, out=d)
     return DissimilarityMatrix(ids, d)
 
 
@@ -434,6 +443,8 @@ def fanny(
                 for v in clusters
             ]
             amin = min(a)
+            if amin == math.inf:  # every cluster starved: u**r underflowed everywhere
+                raise ValueError(f"membership exponent r={r} too large: all cluster mass underflows")
             if amin <= 0:
                 row = np.zeros(k)
                 finite = [x for x in a if x != math.inf]

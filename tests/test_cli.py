@@ -10,7 +10,7 @@ import pytest
 
 import teamtrace
 from teamtrace import tickstream
-from teamtrace.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from teamtrace.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, _pool_map, main
 from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT
 from teamtrace.synth import read_metadata_csv
 from teamtrace.zonemap import load_zone_map
@@ -143,6 +143,30 @@ class TestSynthAndIngest:
                      "-o", str(t_parallel)]) == EXIT_OK
         for p in sorted(t_serial.iterdir()):
             assert p.read_bytes() == (t_parallel / p.name).read_bytes()
+
+    @pytest.mark.parametrize("workers, items, started", [(64, 2, 2), (3, 10, 3), (2, 2, 2)])
+    def test_pool_never_starts_more_workers_than_items(self, monkeypatch, workers, items,
+                                                      started):
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:  # stands in for the pool and starts no process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert _pool_map(abs, list(range(-items, 0)), workers) == list(range(items, 0, -1))
+        assert asked == [started]
 
     def test_match_missing_from_metadata_is_data_error(self, workspace, tmp_path, capsys):
         short_meta = tmp_path / "meta.csv"
@@ -326,7 +350,8 @@ class TestAnalysisCommands:
         (["--delay", "0"], "argument --delay: must be at least 1, got 0"),
         (["--m", "1"], "argument --m: must be at least 2, got 1"),
         (["--min-dwell", "0"], "argument --min-dwell: must be at least 1, got 0"),
-    ], ids=["nan-r", "inf-r", "zero-delay", "m-one", "zero-min-dwell"])
+        (["--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    ], ids=["nan-r", "inf-r", "zero-delay", "m-one", "zero-min-dwell", "negative-seed"])
     def test_bad_cluster_flag_is_one_line_usage_error(self, workspace, tmp_path, capsys,
                                                        flags, message):
         out = tmp_path / "o"
@@ -359,12 +384,13 @@ class TestAnalysisCommands:
         assert capsys.readouterr().err == f"teamtrace {command}: error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("m, message", [
-        ("7", "series of length 6 too short for m=7, delay=1 (needs >= 7)"),
-        ("8", "embedding dimension m must be in [2,7]"),
-    ])
+    @pytest.mark.parametrize("flags, message", [
+        (["--m", "7"], "series of length 6 too short for m=7, delay=1 (needs >= 7)"),
+        (["--m", "8"], "embedding dimension m must be in [2,7]"),
+        (["--r", "1e308"], "membership exponent r=1e+308 too large: all cluster mass underflows"),
+    ], ids=["7-series-too-short", "8-embedding-dimension-out-of-range", "r-1e308-underflows"])
     def test_cluster_embedding_too_large_is_one_line_data_error(
-        self, tmp_path, capsys, m, message
+        self, tmp_path, capsys, flags, message
     ):
         streams, traj = tmp_path / "streams", tmp_path / "traj"
         meta = str(streams / "matches.csv")
@@ -376,7 +402,7 @@ class TestAnalysisCommands:
         capsys.readouterr()
         assert main([
             "cluster", "--trajectories", str(traj), "--meta", meta,
-            "--m", m, "-o", str(tmp_path / "cl"),
+            *flags, "-o", str(tmp_path / "cl"),
         ]) == EXIT_DATA
         assert capsys.readouterr().err == f"teamtrace: error: {message}\n"
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ from teamtrace.pdclust import (
     write_matrix_csv,
 )
 from pdclust_oracle import pd_divergence, read_matrix_csv
+from test_pdclust_oracle import planted_matrix, planted_series
 
 
 # ── independent oracles ────────────────────────────────────────────────────
@@ -212,6 +214,21 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(1)
         m = distance_matrix([rng.normal(size=30) for _ in range(6)], m=3)
         assert (m.values >= 0).all() and (m.values <= 2).all()
+
+    def test_peak_memory_is_the_roots_plus_one_matrix(self):
+        # the lib_many shape: 600 series of 301 values at m = 7, where the
+        # (600, 5040) root-frequency matrix is 24 MB and the result 2.9 MB
+        series = planted_series(600, 301, seed=600)
+        n = len(series)
+        roots_nbytes = n * math.factorial(7) * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            distance_matrix(series, m=7)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < roots_nbytes + n * n * 8 + 3_000_000
 
 
 class TestMinEntropyDimension:
@@ -427,6 +444,16 @@ class TestFanny:
         for r in (math.nan, math.inf):
             with pytest.raises(ValueError, match="membership exponent must be finite"):
                 fanny(d, k=2, r=r)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [2500.0, 1e308])
+    def test_exponent_that_starves_every_cluster_is_rejected(self, r):
+        d = planted_matrix(40, seed=4)
+        with pytest.raises(ValueError) as excinfo:
+            fanny(d, k=3, r=r)
+        assert str(excinfo.value) == (
+            f"membership exponent r={r} too large: all cluster mass underflows"
+        )
 
     def test_extreme_matrices_stay_finite(self):
         # bimodal zero-or-max dissimilarities with many clusters used to
