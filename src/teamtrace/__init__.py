@@ -13,8 +13,6 @@ from .core import (
     Phase,
     SkillTier,
     Team,
-    phase_of,
-    tier_of_mmr,
 )
 from .zonemap import ZoneLabel, ZoneMap, load_zone_map
 
@@ -25,7 +23,5 @@ __all__ = [
     "ZoneLabel",
     "ZoneMap",
     "load_zone_map",
-    "phase_of",
-    "tier_of_mmr",
     "__version__",
 ]

@@ -22,8 +22,13 @@ import numpy as np
 
 # Start-up is most of a command's wall time: the module level imports only
 # what the parser needs, and each command imports the layers it runs.
-from .core import GRID_SIZE, Phase, SkillTier, Team, check_lineup
-from .zonemap import ZoneLabel, ZoneMap, draft_zone_map, load_zone_map, parse_legend, render_zone_map
+from .core import (
+    DEFAULT_CLUSTER_COUNT, DEFAULT_EMBED_DIM, DEFAULT_MEMBERSHIP_EXPONENT, DEFAULT_MIN_DWELL_S,
+    GRID_SIZE, MAX_DURATION_S, Phase, SkillTier, Team, check_lineup,
+)
+from .zonemap import (
+    ZoneLabel, ZoneMap, draft_zone_map, load_zone_map, p6_bytes, parse_legend, render_zone_map,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,11 +42,11 @@ WORKERS_ENV = "TEAMTRACE_WORKERS"
 class RunConfig:
     """Defaults mirror the reference analysis configuration."""
 
-    min_dwell_s: int = 5
+    min_dwell_s: int = DEFAULT_MIN_DWELL_S
     window_s: int = 1
-    k: int = 3
-    r: float = 1.15
-    m: int | str = 5  # or "auto" for the minimum-entropy heuristic
+    k: int = DEFAULT_CLUSTER_COUNT
+    r: float = DEFAULT_MEMBERSHIP_EXPONENT
+    m: int | str = DEFAULT_EMBED_DIM  # or "auto" for the minimum-entropy heuristic
     delay: int = 1
     seed: int = 0
 
@@ -446,9 +451,7 @@ def cmd_heatmap(args) -> int:
     peak = int(img.max())
     intensity = (img * 255 // peak).astype(np.uint8) if peak else img.astype(np.uint8)
     pixels = np.repeat(intensity[:, :, None], 3, axis=2)
-    with open(out / "heatmap.ppm", "wb") as f:
-        f.write(f"P6\n{GRID_SIZE} {GRID_SIZE}\n255\n".encode("ascii"))
-        f.write(pixels.tobytes())
+    (out / "heatmap.ppm").write_bytes(p6_bytes(pixels))
     return EXIT_OK
 
 
@@ -476,6 +479,8 @@ def cmd_synth(args) -> int:
     regimes = args.regime or list(_DEFAULT_REGIMES)
     if args.first_id + len(regimes) * args.matches > 1 << 64:  # match ids are uint64
         raise UsageError(f"--first-id {args.first_id} puts the last match id past 2**64 - 1")
+    if args.duration > MAX_DURATION_S:
+        raise UsageError(f"--duration {args.duration} exceeds the {MAX_DURATION_S} s limit")
     zmap = _load_zone_map(args)
 
     items = []

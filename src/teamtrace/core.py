@@ -1,5 +1,5 @@
 """Shared domain types and rules: the grid, teams, skill tiers, match
-phases and the ten-player lineup.
+phases, the ten-player lineup and the run defaults.
 
 Everything in this module is immutable and safe to share across worker
 processes.
@@ -10,6 +10,16 @@ import math
 from enum import Enum
 
 GRID_SIZE = 128
+
+# Longest match a track array is built for, in seconds (one day): a 1 Hz
+# resample allocates per second, so a longer claimed duration is rejected.
+MAX_DURATION_S = 86_400
+
+# Defaults of the reference analysis configuration.
+DEFAULT_MIN_DWELL_S = 5
+DEFAULT_CLUSTER_COUNT = 3
+DEFAULT_MEMBERSHIP_EXPONENT = 1.15
+DEFAULT_EMBED_DIM = 5
 
 # Match phase boundaries, half-open: [0, 900) early, [900, 1800) mid,
 # [1800, inf) late.
@@ -58,20 +68,6 @@ class Phase(Enum):
         return self.value
 
 
-def phase_of(t: float) -> Phase:
-    """Map a match time in seconds to its phase.
-
-    Boundaries are half-open: t=900 is Mid, t=1800 is Late.
-    """
-    if t < 0:
-        raise ValueError(f"match time must be non-negative, got {t}")
-    if t < MID_PHASE_START_S:
-        return Phase.EARLY
-    if t < LATE_PHASE_START_S:
-        return Phase.MID
-    return Phase.LATE
-
-
 def phase_window(phase: Phase) -> tuple[int, float]:
     """Half-open [start, end) second interval covered by a phase."""
     if phase is Phase.EARLY:
@@ -79,22 +75,6 @@ def phase_window(phase: Phase) -> tuple[int, float]:
     if phase is Phase.MID:
         return MID_PHASE_START_S, LATE_PHASE_START_S
     return LATE_PHASE_START_S, math.inf
-
-
-def tier_of_mmr(mmr: float) -> SkillTier:
-    """Classify a matchmaking rating into a rated skill tier.
-
-    Intervals are half-open upward: [2000,3000) Normal, [3000,4000) High,
-    [4000,inf) VeryHigh. Professional is never returned; it comes from
-    tournament provenance, not from a rating.
-    """
-    if mmr < 2000:
-        raise ValueError(f"MMR {mmr} is below the studied brackets (>= 2000)")
-    if mmr < 3000:
-        return SkillTier.NORMAL
-    if mmr < 4000:
-        return SkillTier.HIGH
-    return SkillTier.VERY_HIGH
 
 
 def check_lineup(teams) -> None:

@@ -3,8 +3,8 @@ arrays: zone codes with dwell filtering and change rates, intra-team
 distance series, moving averages and cross-match aggregation by tier /
 outcome / phase.
 
-Zone changes and, for short rows, team distance are array passes per
-row; ``dwell_filter``, which lists the surviving visits, is kept as the
+Zone changes and team distance are array passes per row;
+``dwell_filter``, which lists the surviving visits, is kept as the
 reference the zone-change pass must equal.
 
 All functions are pure; matches can be processed concurrently.
@@ -17,10 +17,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .core import Phase, SkillTier, Team, phase_window
+from .core import DEFAULT_MIN_DWELL_S, Phase, SkillTier, Team, phase_window
 from .zonemap import _LABEL_INDEX, _LABELS, ZoneLabel, ZoneMap
-
-DEFAULT_MIN_DWELL_S = 5
 
 ZONE_CHANGE_COLUMNS = ("match_id", "player_id", "team", "tier", "win", "changes", "rate_per_min")
 DISTANCE_COLUMNS = ("match_id", "team", "t", "d")
@@ -60,13 +58,6 @@ class DistanceSeries:
             raise ValueError("distances must be finite and non-negative")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def duration_s(self) -> int:
-        return len(self.values) - 1
 
 
 @dataclass(frozen=True)
@@ -160,32 +151,21 @@ def stats_from_codes(
 def team_distance(positions) -> float:
     """Average Euclidean distance over all pairs of teammate positions.
 
-    ``positions`` is an (n, 2) coordinate array, n >= 2. Upper-triangle
-    sum normalized by n(n-1)/2.
+    ``positions`` is an (n, 2) coordinate array, n >= 2: one second of
+    ``distance_values``.
     """
     pts = np.asarray(positions, dtype=np.float64)
-    n = pts.shape[0]
-    if n < 2:
-        raise ValueError("team distance needs at least 2 positions")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dists = np.sqrt((diff * diff).sum(axis=-1))
-    iu = np.triu_indices(n, k=1)
-    return float(dists[iu].mean())
-
-
-# Largest pairs x seconds that distance_values takes in one array pass:
-# its (pairs, T, 2) float64 temporaries then stay under glibc's default
-# 128 KiB mmap threshold. Larger passes can lose to one pair at a time
-# (5 players, one core: 70 against 115 us at T = 901, but 280 against
-# 107 us at T = 1201).
-_PASS_PAIR_SECONDS = 6144
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"positions must be an (n, 2) array, got shape {pts.shape}")
+    return float(distance_values(pts[:, None, :])[0])
 
 
 def distance_values(cells: np.ndarray) -> np.ndarray:
-    """Per-second team distance for an (n, T, 2) cell array.
+    """Per-second team distance for an (n, T, 2) cell array: Eq. (1), the
+    mean over teammate pairs of their Euclidean distance.
 
-    Short rows take every pair in one (pairs, T) array pass, long rows one
-    pair at a time. Either way the pair rows are added to the total one at
+    Each player i is differenced against the players after it in one
+    (n - 1 - i, T) array pass. The pair rows are added to the total one at
     a time in (i, j) order, so each second rounds as a pair-by-pair loop
     does (numpy's axis-0 sum would go pairwise when T is 1).
     """
@@ -194,16 +174,12 @@ def distance_values(cells: np.ndarray) -> np.ndarray:
     if n < 2:
         raise ValueError("team distance needs at least 2 positions")
     total = np.zeros(pts.shape[1])
-    if n * (n - 1) // 2 * total.size <= _PASS_PAIR_SECONDS:
-        d = np.concatenate([pts[i + 1:] - pts[i] for i in range(n - 1)])
+    for i in range(n - 1):
+        d = pts[i + 1:] - pts[i]
         d *= d
-        for row in np.sqrt(d[..., 0] + d[..., 1]):
+        root = d[..., 0] + d[..., 1]
+        for row in np.sqrt(root, out=root):
             total += row
-    else:
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                d = pts[i] - pts[j]
-                total += np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     return total / (n * (n - 1) / 2)
 
 

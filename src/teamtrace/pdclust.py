@@ -32,13 +32,11 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from .core import DEFAULT_CLUSTER_COUNT, DEFAULT_EMBED_DIM, DEFAULT_MEMBERSHIP_EXPONENT
+
 _FACTORIAL = (1, 1, 2, 6, 24, 120, 720, 5040)
 MIN_EMBED_DIM = 2
 MAX_EMBED_DIM = 7
-
-DEFAULT_EMBED_DIM = 5
-DEFAULT_CLUSTER_COUNT = 3
-DEFAULT_MEMBERSHIP_EXPONENT = 1.15
 
 
 @dataclass(frozen=True)
@@ -57,10 +55,6 @@ class PermDistribution:
             raise ValueError("frequencies must be non-negative and sum to 1")
         f.setflags(write=False)
         object.__setattr__(self, "freqs", f)
-
-    def entropy(self) -> float:
-        """Pattern entropy normalized to [0, 1] by log(m!)."""
-        return _entropy(self.freqs, self.m)
 
 
 def _entropy(freqs: np.ndarray, m: int) -> float:
@@ -544,10 +538,6 @@ class ClusterReport:
     clusters: tuple[ClusterSummary, ...]
     average_silhouette: float
 
-    @property
-    def total(self) -> int:
-        return sum(c.size for c in self.clusters)
-
 
 def cluster_report(
     series_set: Sequence,
@@ -558,8 +548,8 @@ def cluster_report(
     """Describe each cluster: size, mean and variance of the member series
     means, mean series duration, and counts faceted by (tier, outcome)
     when labels are supplied; plus the average silhouette width."""
-    crisp = np.asarray(getattr(assignment, "crisp", getattr(assignment, "labels", assignment)))
-    values = [np.asarray(getattr(s, "values", s), dtype=np.float64) for s in series_set]
+    crisp = np.asarray(getattr(assignment, "crisp", assignment))
+    values = [np.asarray(s, dtype=np.float64) for s in series_set]
     if len(values) != crisp.size:
         raise ValueError("assignment length does not match series count")
     if labels is not None and len(labels) != len(values):

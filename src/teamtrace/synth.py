@@ -17,7 +17,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .core import SkillTier, Team
+from .core import DEFAULT_MIN_DWELL_S, SkillTier, Team
 from .tickstream import (
     PLAYER_COUNT,
     PlayerSlot,
@@ -27,10 +27,6 @@ from .tickstream import (
     tick_for_second,
 )
 from .zonemap import _LABEL_INDEX, ZoneLabel, ZoneMap
-
-# Stays shorter than the dwell filter's threshold would be dropped by the
-# measures, so planted switch gaps never go below it.
-MIN_SWITCH_GAP_S = 5.0
 
 _TARGET_ZONES = (
     ZoneLabel.TOP_LANE,
@@ -54,9 +50,9 @@ class RegimeParams:
     def __post_init__(self):
         if not 0 <= self.spread_sigma < float("inf"):
             raise ValueError("spread_sigma must be finite and non-negative")
-        if not 0 < self.switch_rate < 60.0 / MIN_SWITCH_GAP_S:
+        if not 0 < self.switch_rate < 60.0 / DEFAULT_MIN_DWELL_S:
             raise ValueError(
-                f"switch_rate must be in (0, {60.0 / MIN_SWITCH_GAP_S}) per minute"
+                f"switch_rate must be in (0, {60.0 / DEFAULT_MIN_DWELL_S}) per minute"
             )
         if self.match_len_s < 1:
             raise ValueError("match_len_s must be positive")
@@ -122,12 +118,14 @@ def _zone_interiors(zmap: ZoneMap, radius: int = 2) -> tuple[np.ndarray, np.ndar
 
 def _switch_times(rng: np.random.Generator, rate_per_min: float, match_len_s: int) -> list[int]:
     """Seconds at which the team re-anchors; gaps are the dwell floor plus
-    an exponential tail so the long-run rate matches rate_per_min."""
+    an exponential tail so the long-run rate matches rate_per_min. The
+    floor is the measures' default dwell threshold: a shorter stay would
+    be dropped by the dwell filter."""
     mean_gap = 60.0 / rate_per_min
     t = 0.0
     out = []
     while True:
-        t += MIN_SWITCH_GAP_S + rng.exponential(mean_gap - MIN_SWITCH_GAP_S)
+        t += DEFAULT_MIN_DWELL_S + rng.exponential(mean_gap - DEFAULT_MIN_DWELL_S)
         if t > match_len_s:
             return out
         out.append(int(np.ceil(t)))

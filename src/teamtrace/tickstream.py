@@ -49,7 +49,7 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import GRID_SIZE, Team
+from .core import GRID_SIZE, MAX_DURATION_S, Team
 
 MAGIC = b"DTL2"
 FORMAT_VERSION = 1
@@ -392,8 +392,11 @@ def tracks_from_stream(data: bytes, duration_s: int):
 
     Runs the same validation as :func:`decode` but skips building Frame
     objects; returns (header, tracks) with tracks as (10, duration_s+1, 2)
-    uint8 cell coordinates in header slot order.
+    uint8 cell coordinates in header slot order. A duration above
+    ``MAX_DURATION_S`` is rejected before anything is allocated.
     """
+    if duration_s > MAX_DURATION_S:
+        raise StreamFormatError(f"duration {duration_s} s exceeds the {MAX_DURATION_S} s limit")
     header, heads, ticks, counts = _scan(data)
     upd, upd_ticks, slot = _update_arrays(data, header, heads, ticks, counts)
     secs = (upd_ticks * header.tick_interval_ms + 500) // 1000

@@ -207,6 +207,12 @@ def load_zone_map(pixmap_bytes: bytes, legend_text: str) -> ZoneMap:
     return ZoneMap(codes, legend)
 
 
+def p6_bytes(pixels: np.ndarray) -> bytes:
+    """Binary P6 pixmap bytes of an (h, w, 3) uint8 image, maxval 255."""
+    height, width, _ = pixels.shape
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
+
+
 def render_zone_map(zmap: ZoneMap) -> bytes:
     """Render a ZoneMap back to canonical P6 pixmap bytes.
 
@@ -216,8 +222,7 @@ def render_zone_map(zmap: ZoneMap) -> bytes:
     for label, color in zmap.legend.items():
         palette[_LABEL_INDEX[label]] = color
     img_codes = zmap.codes.T[::-1, :]
-    head = f"P6\n{GRID_SIZE} {GRID_SIZE}\n255\n"
-    return head.encode("ascii") + palette[img_codes].tobytes()
+    return p6_bytes(palette[img_codes])
 
 
 def draft_zone_map(

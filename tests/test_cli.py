@@ -11,6 +11,7 @@ import pytest
 import teamtrace
 from teamtrace import tickstream
 from teamtrace.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, _pool_map, main
+from genstreams import make_header
 from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT
 from teamtrace.synth import read_metadata_csv
 from teamtrace.zonemap import load_zone_map
@@ -82,6 +83,37 @@ class TestSynthAndIngest:
         assert len(err) == 1
         assert str(again) in err[0] and str(first) in err[0]
         assert [p.name for p in out.iterdir()] == ["1.csv"]
+
+    def test_duration_past_limit_is_one_line_data_error(self, workspace, tmp_path, capsys):
+        # a keyframe, then an empty frame at the last tick: 2**32 - 1 ticks
+        # of 65535 ms standardize to 281470681678 s
+        keyframe = tickstream.Frame(
+            0, tuple(tickstream.FrameUpdate(i, 1, 2, 0.0, 0.0) for i in range(10)))
+        huge = tmp_path / "huge.dtl2"
+        huge.write_bytes(tickstream.encode(make_header(interval=65535),
+                                           [keyframe, tickstream.Frame(2**32 - 1, ())]))
+        good = workspace / "streams" / "1.dtl2"
+        meta = tmp_path / "meta.csv"
+        meta.write_text("match_id,tier,winner,duration_s\n1,Normal,Dire,1000000000000\n")
+        limit = "s exceeds the 86400 s limit"
+        for argv, code, err in [
+            ([huge], EXIT_DATA, f"error: {huge}: duration 281470681678 {limit}\n"),
+            ([huge, good], EXIT_PARTIAL, f"error: {huge}: duration 281470681678 {limit}\n"),
+            ([good, "--meta", meta], EXIT_DATA, f"error: {good}: duration 1000000000000 {limit}\n"),
+        ]:
+            out = tmp_path / "out"
+            assert main(["ingest", *map(str, argv), "-o", str(out)]) == code
+            assert capsys.readouterr().err == err
+        assert [p.name for p in out.iterdir()] == ["1.csv"]
+
+    @pytest.mark.parametrize("duration", [86_401, 10**12])
+    def test_synth_duration_past_limit_is_one_line_usage_error(self, tmp_path, capsys, duration):
+        out = tmp_path / "o"
+        assert main(["synth", "--duration", str(duration), "-o", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"teamtrace: error: --duration {duration} exceeds the 86400 s limit\n"
+        )
+        assert not out.exists()
 
     def test_all_failures(self, tmp_path):
         bad = tmp_path / "junk.dtl2"

@@ -4,12 +4,9 @@ from hypothesis import given, strategies as st
 from genstreams import make_header, read_rows
 from teamtrace.core import (
     Phase,
-    SkillTier,
     Team,
     check_lineup,
-    phase_of,
     phase_window,
-    tier_of_mmr,
 )
 from teamtrace.tickstream import (
     Frame,
@@ -21,55 +18,30 @@ from teamtrace.tickstream import (
 )
 
 
+def phases_at(t):
+    """Every phase whose window holds match second ``t``."""
+    return [p for p in Phase if phase_window(p)[0] <= t < phase_window(p)[1]]
+
+
 class TestPhaseOf:
+    """The phase of a match second is the one half-open window holding it."""
+
     def test_match_start_is_early(self):
-        assert phase_of(0) is Phase.EARLY
+        assert phases_at(0) == [Phase.EARLY]
 
     def test_boundary_belongs_to_later_interval(self):
-        assert phase_of(899) is Phase.EARLY
-        assert phase_of(900) is Phase.MID
-        assert phase_of(1799) is Phase.MID
-        assert phase_of(1800) is Phase.LATE
+        assert phases_at(899) == [Phase.EARLY]
+        assert phases_at(900) == [Phase.MID]
+        assert phases_at(1799) == [Phase.MID]
+        assert phases_at(1800) == [Phase.LATE]
 
     def test_forty_minutes_is_late(self):
-        assert phase_of(2400) is Phase.LATE
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            phase_of(-1)
+        assert phases_at(2400) == [Phase.LATE]
 
     @given(st.floats(min_value=0, max_value=1e7, allow_nan=False))
     def test_partitions_time(self, t):
         # exactly one phase window contains t
-        hits = [p for p in Phase if phase_window(p)[0] <= t < phase_window(p)[1]]
-        assert len(hits) == 1
-        assert phase_of(t) is hits[0]
-
-
-class TestTierOfMmr:
-    @pytest.mark.parametrize(
-        "mmr,tier",
-        [
-            (2500, SkillTier.NORMAL),
-            (2000, SkillTier.NORMAL),
-            (2999, SkillTier.NORMAL),
-            (3000, SkillTier.HIGH),
-            (3999, SkillTier.HIGH),
-            (4000, SkillTier.VERY_HIGH),
-            (4100, SkillTier.VERY_HIGH),
-            (9000, SkillTier.VERY_HIGH),
-        ],
-    )
-    def test_brackets(self, mmr, tier):
-        assert tier_of_mmr(mmr) is tier
-
-    def test_below_studied_brackets_rejected(self):
-        with pytest.raises(ValueError):
-            tier_of_mmr(1999)
-
-    @given(st.integers(min_value=2000, max_value=20000))
-    def test_professional_never_returned(self, mmr):
-        assert tier_of_mmr(mmr) is not SkillTier.PROFESSIONAL
+        assert len(phases_at(t)) == 1
 
 
 class TestDomainTypes:

@@ -558,7 +558,7 @@ class TestClusterReport:
         series = [np.array([1.0, 3.0]), np.array([5.0, 7.0]), np.array([2.0, 2.0])]
         d = np.zeros((3, 3))
         report = cluster_report(series, np.zeros(3, dtype=int), d)
-        assert report.total == 3
+        assert [c.size for c in report.clusters] == [3]
         c = report.clusters[0]
         means = [2.0, 6.0, 2.0]
         assert c.mean_of_series_means == pytest.approx(np.mean(means))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genstreams import make_header, random_stream, read_rows, resample_to_tracks
-from teamtrace.core import Team
+from teamtrace.core import MAX_DURATION_S, Team
 from teamtrace.tickstream import (
     Frame,
     FrameUpdate,
@@ -253,6 +253,17 @@ class TestResample:
         for duration in (0, 1, 7):
             _, cells = tracks_from_stream(data, duration)
             assert cells.shape == (10, duration + 1, 2)
+
+    def test_duration_past_limit_rejected(self):
+        # a valid stream of 199 bytes whose last tick standardizes to
+        # 281470681678 s: a resample that long would need about 11 TB
+        data = encode(make_header(interval=65535), [keyframe(), Frame(2**32 - 1, ())])
+        _, last = stream_summary(data)
+        for duration in (MAX_DURATION_S + 1, last):
+            with pytest.raises(StreamFormatError, match=f"exceeds the {MAX_DURATION_S} s limit"):
+                tracks_from_stream(data, duration)
+        _, cells = tracks_from_stream(data, MAX_DURATION_S)
+        assert cells.shape == (10, MAX_DURATION_S + 1, 2)
 
     def test_fused_path_matches_object_path(self):
         rng = np.random.default_rng(7)
