@@ -115,6 +115,16 @@ class TestSynthAndIngest:
         )
         assert not out.exists()
 
+    def test_ingest_scans_each_stream_once(self, workspace, tmp_path, monkeypatch):
+        files = sorted(str(p) for p in (workspace / "streams").glob("*.dtl2"))
+        scan, calls = tickstream._scan, []
+        monkeypatch.setattr(tickstream, "_scan", lambda data: calls.append(data) or scan(data))
+        monkeypatch.setenv("TEAMTRACE_WORKERS", "1")
+        for meta in ([], ["--meta", str(workspace / "streams" / "matches.csv")]):
+            calls.clear()
+            assert main(["ingest", *files, *meta, "-o", str(tmp_path / "o")]) == EXIT_OK
+            assert len(calls) == len(files)
+
     def test_all_failures(self, tmp_path):
         bad = tmp_path / "junk.dtl2"
         bad.write_bytes(b"\x00" * 40)
@@ -136,7 +146,12 @@ class TestSynthAndIngest:
         (["--matches", "0"], "argument --matches: must be at least 1, got 0"),
         (["--duration", "0"], "argument --duration: must be at least 1, got 0"),
         (["--first-id", "-1"], "argument --first-id: must be at least 0, got -1"),
-    ], ids=["negative-seed", "nan-sigma", "zero-matches", "zero-duration", "negative-first-id"])
+        (["--regime", "Normal:1e308:1"],
+         "argument --regime: 'Normal:1e308:1': spread_sigma must be at most 512 cells"),
+        # rejected as argparse reads it, before any work list is built
+        (["--matches", "100000000"], "argument --matches: must be at most 10000, got 100000000"),
+    ], ids=["negative-seed", "nan-sigma", "zero-matches", "zero-duration", "negative-first-id",
+            "huge-sigma", "huge-matches"])
     def test_bad_synth_flag_is_one_line_usage_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "o"
         code = main(["synth", "--matches", "1", "--duration", "10", *flags, "-o", str(out)])

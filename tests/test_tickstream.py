@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genstreams import make_header, random_stream, read_rows, resample_to_tracks
+from genstreams import make_header, pack_by_hand, random_stream, read_rows, resample_to_tracks
 from teamtrace.core import MAX_DURATION_S, Team
 from teamtrace.tickstream import (
     Frame,
@@ -203,6 +203,82 @@ class TestDecode:
             assert _pack_frames(header, ticks, counts, updates) == data
 
 
+def updates(entities, cell=(1, 1)):
+    return tuple(FrameUpdate(e, *cell, 0.0, 0.0) for e in entities)
+
+
+def rejects(fn, *args):
+    try:
+        fn(*args)
+    except StreamFormatError:
+        return True
+    return False
+
+
+class TestKeyframeRule:
+    """The first frame is at tick 0 and carries all ten declared entities:
+    encode, decode and the ingest path all hold a stream to it."""
+
+    @pytest.mark.parametrize("frames", [
+        [Frame(5, updates(range(3)))],
+        [Frame(5, updates(range(10)))],
+        [Frame(0, updates(range(6))), Frame(3, updates(range(6, 10)))],
+    ], ids=["lone-frame-at-tick-5", "full-frame-at-tick-5", "split-over-ticks-0-and-3"])
+    def test_stream_without_keyframe_rejected(self, frames):
+        data = pack_by_hand(make_header(), frames)
+        with pytest.raises(StreamFormatError, match="tick-0 keyframe") as exc:
+            decode(data)
+        assert exc.value.offset == HEADER_SIZE  # the first frame's head
+        with pytest.raises(StreamFormatError, match="tick-0 keyframe"):
+            tracks_from_stream(data, 1)
+        with pytest.raises(StreamFormatError, match="tick-0 keyframe"):
+            encode(make_header(), frames)
+
+
+def break_one_rule(rng, frames, kind):
+    """A copy of a valid frame list that breaks exactly one format rule."""
+    frames = list(frames)
+    last = frames[-1].tick
+    bad_update = [
+        FrameUpdate(int(rng.integers(10, 256)), 1, 1, 0.0, 0.0),  # undeclared entity
+        FrameUpdate(3, int(rng.integers(128, 256)), 1, 0.0, 0.0),  # off the grid
+        FrameUpdate(3, 1, 1, float(rng.choice([np.nan, np.inf, -np.inf])), 0.0),
+    ]
+    if kind == 0:  # keyframe late: every tick moves up, so the order holds
+        shift = int(rng.integers(1, 40))
+        return [Frame(f.tick + shift, f.updates) for f in frames]
+    if kind == 1:  # keyframe missing one entity
+        drop = int(rng.integers(10))
+        return [Frame(0, frames[0].updates[:drop] + frames[0].updates[drop + 1:]), *frames[1:]]
+    if kind == 2:  # a tick that does not increase
+        return frames + [Frame(last - int(rng.integers(0, min(last, 5) + 1)), ())]
+    if kind == 3:  # an entity twice in one frame
+        return frames + [Frame(last + 1, updates((4, 2, 4)))]
+    if kind == 4:
+        return []
+    return frames + [Frame(last + int(rng.integers(1, 50)), (bad_update[kind - 5],))]
+
+
+def test_encode_rejects_exactly_what_decode_rejects():
+    """Hand-packed bytes of seeded frame lists: encode raises if and only if
+    decode and the ingest path raise, and every broken list is refused."""
+    rng = np.random.default_rng(2024)
+    for i in range(240):
+        header, frames, _, _ = random_stream(rng)
+        kind = i % 9
+        if kind < 8:
+            frames = break_one_rule(rng, frames, kind)
+        data = pack_by_hand(header, frames)
+        verdicts = {
+            "encode": rejects(encode, header, frames),
+            "decode": rejects(decode, data),
+            "tracks_from_stream": rejects(tracks_from_stream, data, 2),
+        }
+        assert set(verdicts.values()) == {kind < 8}, (kind, verdicts)
+        if kind == 8:
+            assert encode(header, frames) == data
+
+
 class TestResample:
     def test_carry_forward_single_keyframe(self):
         _, cells = tracks_from_stream(encode(make_header(), [keyframe((9, 9))]), 3)
@@ -238,11 +314,7 @@ class TestResample:
             Frame(0, tuple(FrameUpdate(i, 1, 1, 0.0, 0.0) for i in range(9))),
             Frame(tick_for_second(1), (FrameUpdate(9, 1, 1, 0.0, 0.0),)),
         ]
-        data = b"".join(
-            [encode(make_header(), [keyframe()])[:HEADER_SIZE]]
-            + [struct.pack("<IH", f.tick, len(f.updates))
-               + b"".join(struct.pack("<BBBff", *u) for u in f.updates) for f in frames]
-        )
+        data = pack_by_hand(make_header(), frames)
         with pytest.raises(StreamFormatError, match="tick-0"):
             tracks_from_stream(data, 2)
         with pytest.raises(StreamFormatError, match="tick-0"):
