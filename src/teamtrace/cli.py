@@ -24,7 +24,7 @@ import numpy as np
 # what the parser needs, and each command imports the layers it runs.
 from .core import (
     DEFAULT_CLUSTER_COUNT, DEFAULT_EMBED_DIM, DEFAULT_MEMBERSHIP_EXPONENT, DEFAULT_MIN_DWELL_S,
-    GRID_SIZE, MAX_DURATION_S, Phase, SkillTier, Team, check_lineup,
+    GRID_SIZE, MAX_DURATION_S, MAX_SYNTH_MATCHES, Phase, SkillTier, Team, check_lineup,
 )
 from .zonemap import (
     ZoneLabel, ZoneMap, draft_zone_map, load_zone_map, p6_bytes, parse_legend, render_zone_map,
@@ -200,15 +200,12 @@ def _out_dir(args) -> Path:
 
 
 def _ingest_one(item):
-    """(header, cells, None) for a decodable stream, else (None, None, error)."""
+    """(header, cells, None) for a decodable stream, else (None, None, error).
+    A recorded duration wins over the stream's last standardized second."""
     from . import tickstream
     path, durations = item
     try:
-        data = Path(path).read_bytes()
-        header, last_second = tickstream.stream_summary(data)
-        # recorded duration wins over the last-update heuristic
-        duration = durations.get(header.match_id, last_second)
-        return (*tickstream.tracks_from_stream(data, duration), None)
+        return (*tickstream.tracks_from_stream(Path(path).read_bytes(), durations), None)
     except (OSError, ValueError) as e:
         return (None, None, str(e))
 
@@ -541,13 +538,16 @@ def _read_config_file(argv: list[str]) -> dict[str, str]:
     return settings
 
 
-def _int_at_least(low: int, *words: str):
-    """argparse type: an integer no smaller than ``low``, or one of ``words``."""
+def _int_at_least(low: int, *words: str, most: int | None = None):
+    """argparse type: an integer no smaller than ``low`` (nor above
+    ``most``), or one of ``words``."""
     def parse(text: str) -> int | str:
         if text in words:
             return text
         if (value := int(text)) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
     return parse
@@ -668,7 +668,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.set_defaults(fn=cmd_heatmap)
 
     p = sub.add_parser("synth", help="generate synthetic matches")
-    p.add_argument("--matches", type=_int_at_least(1), default=5, help="matches per regime")
+    p.add_argument("--matches", type=_int_at_least(1, most=MAX_SYNTH_MATCHES), default=5,
+                   help="matches per regime")
     p.add_argument("--duration", type=_int_at_least(1), default=900, help="match length, seconds")
     p.add_argument("--seed", type=_int_at_least(0), default=cfg.seed)
     p.add_argument("--first-id", type=_int_at_least(0), default=1, help="first match id")

@@ -28,7 +28,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -220,32 +220,26 @@ def distance_matrix(
     return DissimilarityMatrix(ids, d)
 
 
-def min_entropy_dimension(
-    series_set: Sequence,
-    m_values: Iterable[int] = range(MIN_EMBED_DIM, MAX_EMBED_DIM + 1),
-    delay: int = 1,
-) -> int:
-    """Pick the embedding dimension minimizing mean normalized pattern
-    entropy across the series set (ties go to the smaller m).
+def min_entropy_dimension(series_set: Sequence, delay: int = 1) -> int:
+    """Pick the embedding dimension in [MIN_EMBED_DIM, MAX_EMBED_DIM]
+    minimizing mean normalized pattern entropy across the series set (ties
+    go to the smaller m).
 
-    Dimensions too large for the shortest series are dropped; an empty
-    candidate range is an error. Each series is checked once, as
+    Dimensions too large for the shortest series are dropped; a set that
+    supports none is an error. Each series is checked once, as
     ``perm_distribution`` checks it, before any pattern is counted.
     """
-    ms = sorted(set(m_values))
-    if not ms:
-        raise ValueError("empty embedding dimension range")
-    if any(not MIN_EMBED_DIM <= m <= MAX_EMBED_DIM for m in ms):
-        raise ValueError(f"dimensions must lie in [{MIN_EMBED_DIM},{MAX_EMBED_DIM}]")
     if delay < 1:
         raise ValueError("delay must be at least 1")
     if len(series_set) == 0:
         raise ValueError("need at least one series")
     shortest = min(len(s) for s in series_set)
-    usable = [m for m in ms if min_series_length(m, delay) <= shortest]
+    usable = [m for m in range(MIN_EMBED_DIM, MAX_EMBED_DIM + 1)
+              if min_series_length(m, delay) <= shortest]
     if not usable:
         raise ValueError(
-            f"shortest series (length {shortest}) cannot support any m in {ms}"
+            f"shortest series (length {shortest}) cannot support any m in "
+            f"[{MIN_EMBED_DIM},{MAX_EMBED_DIM}]"
         )
     xs = [_as_series(s, usable[0], delay) for s in series_set]
     best_m, best_h = usable[0], math.inf

@@ -17,7 +17,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .core import DEFAULT_MIN_DWELL_S, SkillTier, Team
+from .core import DEFAULT_MIN_DWELL_S, GRID_SIZE, SkillTier, Team
 from .tickstream import (
     PLAYER_COUNT,
     PlayerSlot,
@@ -37,6 +37,10 @@ _TARGET_ZONES = (
 
 METADATA_COLUMNS = ("match_id", "tier", "winner", "duration_s")
 
+# Widest planted dispersion, in cells: past a few grid widths the zone cells
+# nearest each proposal stop changing, and far wider sigmas overflow the scores.
+MAX_SPREAD_SIGMA = 4.0 * GRID_SIZE
+
 
 @dataclass(frozen=True)
 class RegimeParams:
@@ -50,6 +54,8 @@ class RegimeParams:
     def __post_init__(self):
         if not 0 <= self.spread_sigma < float("inf"):
             raise ValueError("spread_sigma must be finite and non-negative")
+        if self.spread_sigma > MAX_SPREAD_SIGMA:
+            raise ValueError(f"spread_sigma must be at most {MAX_SPREAD_SIGMA:g} cells")
         if not 0 < self.switch_rate < 60.0 / DEFAULT_MIN_DWELL_S:
             raise ValueError(
                 f"switch_rate must be in (0, {60.0 / DEFAULT_MIN_DWELL_S}) per minute"

@@ -25,7 +25,9 @@ Frames, repeated until end of stream:
 
 Updates are sparse: a frame carries only the entities whose position
 changed. The first frame must be a keyframe at tick 0 listing all ten
-entities, so every later position is reachable by carry-forward. One tick
+entities, so every later position is reachable by carry-forward; encode,
+decode and the ingest path hold a stream to this rule and the others above
+through one set of array checks. One tick
 spans ``tick_interval_ms`` of wall time; analysis runs on a 1 Hz grid, so
 ticks are standardized to the nearest second (half-up) and, within one
 second, the latest tick wins.
@@ -45,7 +47,7 @@ import warnings
 from dataclasses import dataclass
 from math import isfinite
 from numbers import Integral
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, Mapping, NamedTuple, TextIO
 
 import numpy as np
 
@@ -156,83 +158,57 @@ def _check_header(header: StreamHeader) -> None:
 
 
 def _pack_header(header: StreamHeader) -> bytes:
-    parts = [
-        _HEADER.pack(
-            MAGIC,
-            header.version,
-            header.match_id,
-            header.tick_interval_ms,
-            len(header.players),
-        )
-    ]
-    parts.extend(
-        _SLOT.pack(p.entity_id, p.team.value, p.player_id) for p in header.players
-    )
-    return b"".join(parts)
+    head = _HEADER.pack(MAGIC, header.version, header.match_id, header.tick_interval_ms,
+                        len(header.players))
+    return head + b"".join(_SLOT.pack(p.entity_id, p.team.value, p.player_id)
+                           for p in header.players)
+
+
+def _fits(value, bits: int) -> bool:
+    """Whether ``value`` is an integer that an unsigned ``bits``-bit field holds."""
+    return isinstance(value, Integral) and 0 <= value < 1 << bits
 
 
 def encode(header: StreamHeader, frames: Iterable[Frame]) -> bytes:
     """Serialize a header and frame sequence to DTL2 bytes.
 
-    The first frame must be a tick-0 keyframe carrying all ten entities;
-    ticks must strictly increase, entities must be declared and unique per
-    frame, cells must fit the 128x128 grid and offsets must be finite
-    binary32 values.
+    Each value must first fit its field, as bytes always do: ticks in
+    uint32, under 2**16 updates a frame, integer entities and cells in
+    0..255, offsets in the binary32 range. The frames then become the arrays
+    :func:`_pack_frames` takes and meet the frame rules :func:`decode` holds
+    bytes to, so ``encode`` rejects exactly the frames ``decode`` would.
     """
     _check_header(header)
     frames = list(frames)
-    if not frames:
-        raise StreamFormatError("a stream needs at least the tick-0 keyframe")
-    known = {p.entity_id for p in header.players}
+    for fits, problem in (
+        (lambda f: _fits(f.tick, 32), "tick out of uint32 range"),
+        (lambda f: _fits(len(f.updates), 16), "too many updates"),
+        (lambda f: all(_fits(v, 8) for u in f.updates for v in u[:3]),
+         "entity or cell out of range, want integers in 0..255"),
+        (lambda f: not any(isfinite(v) and abs(v) >= _F32_LIMIT for u in f.updates for v in u[3:]),
+         "sub-cell offset outside the binary32 range"),
+    ):
+        if bad := [i for i, frame in enumerate(frames) if not fits(frame)]:
+            raise StreamFormatError(f"frame {bad[0]}: {problem}")
 
-    ticks, counts, rows = [], [], []
-    prev_tick = -1
-    for idx, frame in enumerate(frames):
-        if not (isinstance(frame.tick, Integral) and 0 <= frame.tick < 1 << 32):
-            raise StreamFormatError(f"frame {idx}: tick out of uint32 range")
-        if frame.tick <= prev_tick:
-            raise StreamFormatError(
-                f"frame {idx}: tick {frame.tick} not greater than {prev_tick}"
-            )
-        prev_tick = frame.tick
-        if len(frame.updates) >= 1 << 16:
-            raise StreamFormatError(f"frame {idx}: too many updates")
-        ticks.append(frame.tick)
-        counts.append(len(frame.updates))
-        in_frame = set()
-        for u in frame.updates:
-            if u.entity_id not in known:
-                raise StreamFormatError(
-                    f"frame {idx}: entity {u.entity_id} not declared in header"
-                )
-            if u.entity_id in in_frame:
-                raise StreamFormatError(
-                    f"frame {idx}: duplicate entity {u.entity_id}"
-                )
-            in_frame.add(u.entity_id)
-            if not (isinstance(u.cell_x, Integral) and isinstance(u.cell_y, Integral)
-                    and 0 <= u.cell_x < GRID_SIZE and 0 <= u.cell_y < GRID_SIZE):
-                raise StreamFormatError(
-                    f"frame {idx}: cell ({u.cell_x},{u.cell_y}) out of range"
-                )
-            if not (isfinite(u.vx) and isfinite(u.vy)):
-                raise StreamFormatError(f"frame {idx}: non-finite sub-cell offset")
-            if not (abs(u.vx) < _F32_LIMIT and abs(u.vy) < _F32_LIMIT):
-                raise StreamFormatError(f"frame {idx}: sub-cell offset outside the binary32 range")
-            rows.append(u)
-
-    key = frames[0]
-    if key.tick != 0 or {u.entity_id for u in key.updates} != known:
-        raise StreamFormatError(
-            "first frame must be a tick-0 keyframe covering all entities"
-        )
-    return _pack_frames(header, np.array(ticks, dtype=np.int64), np.array(counts, dtype=np.int64),
-                        np.array(rows, dtype=UPDATE_DTYPE))
+    ticks = np.array([f.tick for f in frames], dtype=np.int64)
+    counts = np.array([len(f.updates) for f in frames], dtype=np.int64)
+    updates = np.array([u for f in frames for u in f.updates], dtype=UPDATE_DTYPE)
+    heads = _frame_heads(counts)
+    _check_heads(heads, ticks, counts)
+    _check_updates(header, heads, counts, updates)
+    return _pack_frames(header, ticks, counts, updates)
 
 
 def _head_bytes(heads: np.ndarray) -> np.ndarray:
     """(frames, 6) byte positions of the frame heads starting at ``heads``."""
     return heads[:, None] + np.arange(_FRAME_HEAD.size)
+
+
+def _frame_heads(counts: np.ndarray) -> np.ndarray:
+    """Byte offset of each frame's head in a stream of frames holding ``counts`` updates."""
+    return (HEADER_SIZE + _FRAME_HEAD.size * np.arange(counts.size)
+            + UPDATE_DTYPE.itemsize * (np.cumsum(counts) - counts))
 
 
 def _update_mask(size: int, heads: np.ndarray) -> np.ndarray:
@@ -243,21 +219,16 @@ def _update_mask(size: int, heads: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _pack_frames(
-    header: StreamHeader,
-    ticks: np.ndarray,
-    counts: np.ndarray,
-    updates: np.ndarray,
-) -> bytes:
-    """Array serializer; :func:`encode` validates its frames and calls it.
+def _pack_frames(header: StreamHeader, ticks: np.ndarray, counts: np.ndarray,
+                 updates: np.ndarray) -> bytes:
+    """Array serializer; :func:`encode` checks its frames and calls it.
 
     ``updates`` is an UPDATE_DTYPE array holding every frame's updates
     back to back; ``counts[i]`` updates belong to the frame at ``ticks[i]``.
     Only the header is checked, so the arrays must already be valid.
     """
     _check_header(header)
-    heads = (HEADER_SIZE + _FRAME_HEAD.size * np.arange(counts.size)
-             + UPDATE_DTYPE.itemsize * (np.cumsum(counts) - counts))
+    heads = _frame_heads(counts)
     head = np.empty(counts.size, dtype=_HEAD_DTYPE)
     head["tick"] = ticks
     head["count"] = counts
@@ -289,15 +260,13 @@ def _scan(data: bytes):
         raise StreamFormatError("truncated player table", offset=len(data))
 
     slots = []
-    seen = set()
     off = _HEADER.size
     for _ in range(player_count):
         entity_id, team_byte, player_id = _SLOT.unpack_from(data, off)
         if team_byte not in (0, 1):
             raise StreamFormatError(f"invalid team byte {team_byte}", offset=off + 1)
-        if entity_id in seen:
+        if any(slot.entity_id == entity_id for slot in slots):
             raise StreamFormatError(f"duplicate entity_id {entity_id}", offset=off)
-        seen.add(entity_id)
         slots.append(PlayerSlot(entity_id, Team(team_byte), player_id))
         off += _SLOT.size
     header = StreamHeader(match_id, tuple(slots), interval, version)
@@ -313,29 +282,48 @@ def _scan(data: bytes):
     heads = np.array(heads, dtype=np.int64)
     head = np.frombuffer(data, dtype=np.uint8)[_head_bytes(heads)].view(_HEAD_DTYPE)[:, 0]
     ticks = head["tick"].astype(np.int64)
+    counts = head["count"].astype(np.int64)
 
-    # the first error in stream order wins; a frame's tick comes before its updates
+    # the first error in stream order wins: every head comes before a cut in
+    # or after the last frame (a cut inside the first head leaves no frames)
+    if heads.size or off == n:
+        _check_heads(heads, ticks, counts)
+    if off > n:
+        raise StreamFormatError("truncated mid-update", offset=int(heads[-1]) + _FRAME_HEAD.size)
+    if off < n:
+        raise StreamFormatError("truncated frame header", offset=off)
+    return header, heads, ticks, counts
+
+
+# The frame rules, stated once: encode runs them on the arrays it is about to
+# pack, decode and tracks_from_stream on the arrays read from the bytes.
+
+def _check_heads(heads: np.ndarray, ticks: np.ndarray, counts: np.ndarray) -> None:
+    """A stream has frames, the first is a tick-0 keyframe and ticks strictly
+    increase; the first break in stream order is raised. Entities are
+    declared and unique per frame (:func:`_check_updates`), so a keyframe of
+    ten updates covers all ten entities."""
+    if not heads.size:
+        raise StreamFormatError("stream contains no frames", offset=HEADER_SIZE)
+    if ticks[0] != 0 or counts[0] != PLAYER_COUNT:
+        raise StreamFormatError(
+            f"first frame must be a tick-0 keyframe covering all {PLAYER_COUNT} entities",
+            offset=int(heads[0]),
+        )
     back = np.flatnonzero(ticks[1:] <= ticks[:-1])
     if back.size:
         i = int(back[0]) + 1
         raise StreamFormatError(
             f"tick {ticks[i]} not greater than previous {ticks[i - 1]}", offset=int(heads[i])
         )
-    if off > n:
-        raise StreamFormatError("truncated mid-update", offset=int(heads[-1]) + _FRAME_HEAD.size)
-    if off < n:
-        raise StreamFormatError("truncated frame header", offset=off)
-    if not heads.size:
-        raise StreamFormatError("stream contains no frames", offset=off)
-    return header, heads, ticks, head["count"].astype(np.int64)
 
 
-def _update_arrays(data, header, heads, ticks, counts):
-    """Every update as one UPDATE_DTYPE array, validated, with its tick and
-    header slot."""
-    upd = np.frombuffer(data, dtype=np.uint8)[_update_mask(len(data), heads)].view(UPDATE_DTYPE)
+def _check_updates(header: StreamHeader, heads: np.ndarray, counts: np.ndarray,
+                   upd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every entity is declared in the header and unique within its frame,
+    every cell is on the grid and every offset finite. Returns each
+    update's header slot and frame index."""
     frame = np.repeat(np.arange(heads.size), counts)
-
     slot_of = np.full(256, -1, dtype=np.int64)
     slot_of[[p.entity_id for p in header.players]] = np.arange(PLAYER_COUNT)
     ent = upd["entity"]
@@ -359,11 +347,19 @@ def _update_arrays(data, header, heads, ticks, counts):
     # entity unique within frame: no (frame, slot) pair may repeat
     if upd.size and np.bincount(frame * PLAYER_COUNT + slot).max() > 1:
         raise StreamFormatError("duplicate entity within a frame")
+    return slot, frame
+
+
+def _update_arrays(data, header, heads, ticks, counts):
+    """Every update of a scanned stream as one UPDATE_DTYPE array, checked,
+    with its tick and header slot."""
+    upd = np.frombuffer(data, dtype=np.uint8)[_update_mask(len(data), heads)].view(UPDATE_DTYPE)
+    slot, frame = _check_updates(header, heads, counts, upd)
     return upd, ticks[frame], slot
 
 
 def stream_summary(data: bytes) -> tuple[StreamHeader, int]:
-    """Validate structure and return (header, last standardized second)."""
+    """Check the structure and return (header, last standardized second)."""
     header, _, ticks, _ = _scan(data)
     return header, tick_to_second(int(ticks[-1]), header.tick_interval_ms)
 
@@ -371,10 +367,11 @@ def stream_summary(data: bytes) -> tuple[StreamHeader, int]:
 def decode(data: bytes) -> tuple[StreamHeader, tuple[Frame, ...]]:
     """Parse DTL2 bytes back into header and frames (inverse of encode).
 
-    Rejects bad magic, unsupported versions, truncation, unknown entities,
-    out-of-range cells, duplicate entities within a frame, non-increasing
-    ticks and trailing garbage, naming the offending byte offset where it
-    is meaningful.
+    Rejects bad magic, unsupported versions, truncation, a first frame that
+    is not the tick-0 keyframe of all ten entities, non-increasing ticks,
+    unknown entities, duplicate entities within a frame, out-of-range cells,
+    non-finite offsets and trailing garbage, naming the offending byte
+    offset where it is meaningful.
     """
     header, heads, ticks, counts = _scan(data)
     upd, _, _ = _update_arrays(data, header, heads, ticks, counts)
@@ -387,30 +384,28 @@ def decode(data: bytes) -> tuple[StreamHeader, tuple[Frame, ...]]:
     return header, tuple(frames)
 
 
-def tracks_from_stream(data: bytes, duration_s: int):
-    """Fused decode + resample for batch ingestion.
+def tracks_from_stream(data: bytes, duration_s: int | Mapping[int, int]):
+    """Fused decode + resample for batch ingestion, in one scan of the bytes.
 
-    Runs the same validation as :func:`decode` but skips building Frame
-    objects; returns (header, tracks) with tracks as (10, duration_s+1, 2)
-    uint8 cell coordinates in header slot order. A duration above
-    ``MAX_DURATION_S`` is rejected before anything is allocated.
+    Runs the same checks as :func:`decode` but builds no Frame objects;
+    returns (header, tracks) with tracks as (10, T+1, 2) uint8 cell
+    coordinates in header slot order. T is ``duration_s``, or, given a
+    mapping from match id to duration, the match's entry there, else its
+    last standardized second. A T above ``MAX_DURATION_S`` is rejected
+    before the tracks are allocated.
     """
+    header, heads, ticks, counts = _scan(data)
+    if isinstance(duration_s, Mapping):
+        last = tick_to_second(int(ticks[-1]), header.tick_interval_ms)
+        duration_s = duration_s.get(header.match_id, last)
     if duration_s > MAX_DURATION_S:
         raise StreamFormatError(f"duration {duration_s} s exceeds the {MAX_DURATION_S} s limit")
-    header, heads, ticks, counts = _scan(data)
     upd, upd_ticks, slot = _update_arrays(data, header, heads, ticks, counts)
     secs = (upd_ticks * header.tick_interval_ms + 500) // 1000
-
-    at_zero = np.zeros(PLAYER_COUNT, dtype=bool)
-    at_zero[slot[secs == 0]] = True
-    if not at_zero.all():
-        p = header.players[int(np.argmin(at_zero))]
-        raise StreamFormatError(
-            f"player {p.player_id} (entity {p.entity_id}) has no tick-0 position"
-        )
-    # update indices grow with the tick, so the latest update per (slot,
-    # second) is a maximum and carrying it forward is a running maximum;
-    # int32 keeps the index grid at twice the size of the uint8 output
+    # the keyframe puts every slot at second 0; update indices grow with the
+    # tick, so the latest update per (slot, second) is a maximum and carrying
+    # it forward is a running maximum; int32 keeps the index grid at twice
+    # the size of the uint8 output
     latest = np.full((PLAYER_COUNT, duration_s + 1), -1, dtype=np.int32)
     due = secs <= duration_s
     key = slot * (duration_s + 1) + secs

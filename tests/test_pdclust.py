@@ -237,7 +237,8 @@ class TestMinEntropyDimension:
         assert min_entropy_dimension(series) == 2
 
     def test_single_series(self):
-        assert min_entropy_dimension([list(range(10))], m_values=[3, 4]) == 3
+        # length 3 allows m in {2, 3}: two distinct pairs, against one window
+        assert min_entropy_dimension([[1, 3, 2]]) == 3
 
     def test_planted_structure_matches_exhaustive_table(self):
         rng = np.random.default_rng(11)
@@ -254,14 +255,16 @@ class TestMinEntropyDimension:
         assert min_entropy_dimension(series) == want
 
     def test_range_truncated_for_short_series(self):
-        # length 4 supports only m in {2, 3, 4}
-        assert min_entropy_dimension([[1, 2, 3, 4]], m_values=range(2, 8)) in (2, 3, 4)
+        # length 4 supports only m in {2, 3, 4}; its one window at m = 4 has
+        # zero entropy, so the largest dimension left wins
+        assert min_entropy_dimension([[1, 3, 2, 4]]) == 4
+        assert min_entropy_dimension([[1, 3, 2, 4, 0, 5, 6]], delay=2) == 4
 
     def test_unusable_range_rejected(self):
-        with pytest.raises(ValueError):
-            min_entropy_dimension([[1, 2]], m_values=[4, 5])
-        with pytest.raises(ValueError):
-            min_entropy_dimension([[1, 2, 3]], m_values=[])
+        with pytest.raises(ValueError, match=r"cannot support any m in \[2,7\]"):
+            min_entropy_dimension([[1]])
+        with pytest.raises(ValueError, match=r"length 4\)"):
+            min_entropy_dimension([[1, 2, 3, 4], list(range(9))], delay=4)
 
 
 
@@ -321,12 +324,8 @@ class TestBatchedErrorSurface:
             perm_distribution(list(range(20)), m=m, delay=delay)
 
     def test_min_entropy_dimension_checks_arguments_first(self):
-        with pytest.raises(ValueError, match="dimensions must lie"):
-            min_entropy_dimension(Untouchable(), m_values=[1, 2])
         with pytest.raises(ValueError, match="delay must be at least 1"):
             min_entropy_dimension(Untouchable(), delay=0)
-        with pytest.raises(ValueError, match="empty embedding dimension range"):
-            min_entropy_dimension(Untouchable(), m_values=[])
 
     def test_empty_set_rejected(self):
         for fn in (distance_matrix, min_entropy_dimension):

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from genstreams import resample_to_tracks
 from teamtrace import measures, tickstream
 from teamtrace.core import SkillTier, Team
 from teamtrace.synth import (
+    MAX_SPREAD_SIGMA,
     MatchMeta,
     RegimeParams,
     generate_match,
@@ -42,6 +44,15 @@ class TestRegimeParams:
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="spread_sigma must be finite"):
             RegimeParams(sigma, 2.0, 60)
+
+    def test_sigma_bounded_a_few_grid_widths_out(self, zmap):
+        # the widest sigma allowed still plants a match without a warning
+        params = RegimeParams(MAX_SPREAD_SIGMA, 2.0, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert generate_match(params, params, zmap, seed=1)[1].duration_s == 30
+        with pytest.raises(ValueError, match="spread_sigma must be at most 512 cells"):
+            RegimeParams(np.nextafter(MAX_SPREAD_SIGMA, np.inf), 2.0, 60)
 
 
 class TestGenerateMatch:

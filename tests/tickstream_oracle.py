@@ -8,7 +8,9 @@ serializer and the synthetic generator with scalar zone and reference
 draws and a per-zone projection. The library computes the same bytes and
 raises the same errors with array passes; the tests in
 ``test_tickstream_oracle.py`` require equality, so every function here
-must stay exactly as written.
+must stay exactly as written. The one deliberate change since the oracles
+were taken is the keyframe rule in ``_scan``: the first frame is at tick 0
+and carries all ten entities.
 """
 from __future__ import annotations
 
@@ -123,6 +125,13 @@ def _scan(data: bytes):
         if tick <= prev_tick:
             raise StreamFormatError(
                 f"tick {tick} not greater than previous {prev_tick}", offset=off
+            )
+        if not ticks and (tick != 0 or count != PLAYER_COUNT):
+            # the keyframe rule, added on purpose: ten updates, each declared
+            # and unique (checked below), cover all ten entities
+            raise StreamFormatError(
+                f"first frame must be a tick-0 keyframe covering all {PLAYER_COUNT} entities",
+                offset=off,
             )
         prev_tick = tick
         off += _FRAME_HEAD.size
