@@ -25,8 +25,12 @@ from teamtrace.tickstream import (
 )
 
 
+def updates(entities, cell=(1, 1)):
+    return tuple(FrameUpdate(e, *cell, 0.0, 0.0) for e in entities)
+
+
 def keyframe(cell=(1, 2)):
-    return Frame(0, tuple(FrameUpdate(i, cell[0], cell[1], 0.0, 0.0) for i in range(10)))
+    return Frame(0, updates(range(10), cell))
 
 
 class TestTickToSecond:
@@ -201,10 +205,6 @@ class TestDecode:
             flat = [u for f in frames for u in f.updates]
             updates = np.array(flat, dtype=UPDATE_DTYPE)
             assert _pack_frames(header, ticks, counts, updates) == data
-
-
-def updates(entities, cell=(1, 1)):
-    return tuple(FrameUpdate(e, *cell, 0.0, 0.0) for e in entities)
 
 
 def rejects(fn, *args):
