@@ -113,23 +113,24 @@ def _trajectory_files(paths: Iterable[str]) -> list[Path]:
     return out
 
 
+def _read(path, reader):
+    """``reader`` applied to the text file at ``path``; a failure is a DataError."""
+    try:
+        with open(path) as f:
+            return reader(f)
+    except (OSError, ValueError) as e:
+        raise DataError(f"{path}: {e}") from None
+
+
 def _read_tracks(path: Path):
     """(match_id, players, cells) of one trajectory CSV."""
     from . import tickstream
-    try:
-        with open(path) as f:
-            return tickstream.read_trajectory_csv(f)
-    except (OSError, ValueError) as e:
-        raise DataError(f"{path}: {e}") from None
+    return _read(path, tickstream.read_trajectory_csv)
 
 
 def _read_meta(path: str) -> dict[int, synth.MatchMeta]:
     from . import synth
-    try:
-        with open(path) as f:
-            return synth.read_metadata_csv(f)
-    except (OSError, ValueError) as e:
-        raise DataError(f"{path}: {e}") from None
+    return _read(path, synth.read_metadata_csv)
 
 
 class _Match(NamedTuple):
@@ -196,6 +197,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_json(path: Path, doc) -> None:
+    import json
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 # ── commands ──────────────────────────────────────────────────────────────
 
 
@@ -258,13 +266,19 @@ def cmd_zones(args) -> int:
     return EXIT_OK
 
 
-def _series_for(matches: Iterable[_Match]) -> list[measures.LabeledSeries]:
+def _series_for(matches: Iterable[_Match], window: int = 1) -> list[measures.LabeledSeries]:
+    """Each match's team series, labeled; a window above 1 smooths them
+    with a trailing moving average."""
     from . import measures
-    return [
-        measures.LabeledSeries(s, match.tier, s.team is match.winner)
-        for match in matches
-        for s in _team_series(match.match_id, match.players, match.cells)
-    ]
+    labeled = []
+    for match in matches:
+        for s in _team_series(match.match_id, match.players, match.cells):
+            # moving_average(v, 1) is not bit-identical to v
+            if window > 1:
+                values = measures.moving_average(s.values, window)
+                s = measures.DistanceSeries(s.match_id, s.team, values)
+            labeled.append(measures.LabeledSeries(s, match.tier, s.team is match.winner))
+    return labeled
 
 
 def cmd_distance(args) -> int:
@@ -285,20 +299,7 @@ def cmd_distance(args) -> int:
 
 def cmd_phases(args) -> int:
     from . import measures
-    labeled = _series_for(_load_labeled_matches(args))
-    if args.window > 1:
-        labeled = [
-            measures.LabeledSeries(
-                measures.DistanceSeries(
-                    ls.series.match_id,
-                    ls.series.team,
-                    measures.moving_average(ls.series.values, args.window),
-                ),
-                ls.tier,
-                ls.won,
-            )
-            for ls in labeled
-        ]
+    labeled = _series_for(_load_labeled_matches(args), args.window)
     rows = []
     for tier in SkillTier:
         for won in (True, False):
@@ -316,39 +317,24 @@ def cmd_phases(args) -> int:
 
 
 def cmd_anova(args) -> int:
-    import json
     from . import stats
     zmap = _load_zone_map(args)
-    matches = _load_labeled_matches(args)
 
-    rate_by_tier: dict[SkillTier, list[float]] = {}
-    rate_by_outcome: dict[bool, list[float]] = {True: [], False: []}
-    dist_by_tier: dict[SkillTier, list[float]] = {}
-    dist_by_outcome: dict[bool, list[float]] = {True: [], False: []}
-    for match in matches:
-        for team, st in _player_stats(match, zmap, args.min_dwell):
-            rate_by_tier.setdefault(match.tier, []).append(st.rate_per_min)
-            rate_by_outcome[team is match.winner].append(st.rate_per_min)
-        for s in _team_series(match.match_id, match.players, match.cells):
-            mean_d = float(s.values.mean())
-            dist_by_tier.setdefault(match.tier, []).append(mean_d)
-            dist_by_outcome[s.team is match.winner].append(mean_d)
+    # (measure, tier, won, value): a zone-change rate per player, a mean distance per team
+    samples = []
+    for match in _load_labeled_matches(args):
+        samples += [("zone_change_rate", match.tier, team is match.winner, st.rate_per_min)
+                    for team, st in _player_stats(match, zmap, args.min_dwell)]
+        samples += [("team_distance", match.tier, s.team is match.winner, float(s.values.mean()))
+                    for s in _team_series(match.match_id, match.players, match.cells)]
 
     rows = []
-    if len(rate_by_tier) >= 2:
-        groups = [rate_by_tier[t] for t in SkillTier if t in rate_by_tier]
-        rows.append(("zone_change_rate", "tier", stats.one_way_anova(groups)))
-        groups = [dist_by_tier[t] for t in SkillTier if t in dist_by_tier]
-        rows.append(("team_distance", "tier", stats.one_way_anova(groups)))
-    if rate_by_outcome[True] and rate_by_outcome[False]:
-        rows.append(
-            ("zone_change_rate", "outcome",
-             stats.one_way_anova([rate_by_outcome[True], rate_by_outcome[False]]))
-        )
-        rows.append(
-            ("team_distance", "outcome",
-             stats.one_way_anova([dist_by_outcome[True], dist_by_outcome[False]]))
-        )
+    for factor, at, levels in (("tier", 1, tuple(SkillTier)), ("outcome", 2, (True, False))):
+        for measure in ("zone_change_rate", "team_distance"):
+            groups = [[s[3] for s in samples if s[0] == measure and s[at] == level]
+                      for level in levels]
+            if len(groups := [g for g in groups if g]) >= 2:
+                rows.append((measure, factor, stats.one_way_anova(groups)))
     if not rows:
         raise DataError("need at least two tiers or both outcomes for ANOVA")
     out = _out_dir(args)
@@ -367,14 +353,11 @@ def cmd_anova(args) -> int:
         }
         for measure, factor, res in rows
     ]
-    with open(out / "anova.json", "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "anova.json", doc)
     return EXIT_OK
 
 
 def cmd_cluster(args) -> int:
-    import json
     from . import pdclust
     labeled = _series_for(_load_labeled_matches(args))
     series = [ls.series.values for ls in labeled]
@@ -423,15 +406,11 @@ def cmd_cluster(args) -> int:
             for c in report.clusters
         ],
     }
-    with open(out / "clusters.json", "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "clusters.json", doc)
     return EXIT_OK
 
 
 def cmd_heatmap(args) -> int:
-    if args.start < 0 or (args.end is not None and args.end < 0):
-        raise UsageError("--start and --end must be non-negative")
     if args.end is not None and args.end < args.start:
         raise UsageError("--end must not precede --start")
     grid = _occupancy(_trajectory_files(args.trajectories), args.start, args.end)
@@ -502,8 +481,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_zonemap_draft(args) -> int:
-    from .defaultmap import DEFAULT_LEGEND_TEXT
-    legend = parse_legend(Path(args.legend).read_text()) if args.legend else parse_legend(DEFAULT_LEGEND_TEXT)
+    from .defaultmap import DEFAULT_LEGEND
+    legend = parse_legend(Path(args.legend).read_text()) if args.legend else DEFAULT_LEGEND
     visits = _occupancy(_trajectory_files(args.trajectories))
     draft = draft_zone_map(visits, legend, args.provisional)
     out = _out_dir(args)
@@ -663,8 +642,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("heatmap", help="visit-count grid and grayscale pixmap")
     _add_common(p)
-    p.add_argument("--start", type=int, default=0, help="first second counted")
-    p.add_argument("--end", type=int, default=None, help="last second counted")
+    p.add_argument("--start", type=_int_at_least(0), default=0, help="first second counted")
+    p.add_argument("--end", type=_int_at_least(0), default=None, help="last second counted")
     p.set_defaults(fn=cmd_heatmap)
 
     p = sub.add_parser("synth", help="generate synthetic matches")

@@ -229,8 +229,7 @@ def min_entropy_dimension(series_set: Sequence, delay: int = 1) -> int:
     supports none is an error. Each series is checked once, as
     ``perm_distribution`` checks it, before any pattern is counted.
     """
-    if delay < 1:
-        raise ValueError("delay must be at least 1")
+    _check_embedding(MIN_EMBED_DIM, delay)
     if len(series_set) == 0:
         raise ValueError("need at least one series")
     shortest = min(len(s) for s in series_set)

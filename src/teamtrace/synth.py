@@ -12,6 +12,7 @@ fidelity to real play is claimed.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -72,8 +73,6 @@ class MatchMeta:
     duration_s: int
 
 
-_interior_cache: dict[int, tuple] = {}
-
 # Anchor candidates per zone are capped so the per-event nearest-cell
 # projection stays cheap; the stride keeps them spread over the zone.
 _MAX_POOL = 256
@@ -82,17 +81,13 @@ _MAX_POOL = 256
 _EVENT_BLOCK = 64
 
 
-def _zone_interiors(zmap: ZoneMap, radius: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interior cells of every zone, stacked by label index: (labels, width,
-    2) cells, their squared norms (+inf past each zone's pool) and the pool
-    sizes. An interior cell's full (2r+1)^2 neighborhood shares its label,
-    so small jitter cannot escape."""
-    key = id(zmap.codes)
-    hit = _interior_cache.get(key)
-    if hit is not None and hit[0] is zmap.codes:
-        return hit[1]
-
-    codes = zmap.codes
+@functools.lru_cache(maxsize=4)
+def _zone_interiors(code_bytes: bytes, radius: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior cells of every zone of a map, given its codes' bytes, stacked
+    by label index: (labels, width, 2) cells, their squared norms (+inf past
+    each zone's pool) and the pool sizes. An interior cell's full (2r+1)^2
+    neighborhood shares its label, so small jitter cannot escape."""
+    codes = np.frombuffer(code_bytes, dtype=np.uint8).reshape(GRID_SIZE, GRID_SIZE)
     padded = np.pad(codes, radius, constant_values=255)
     same = np.ones_like(codes, dtype=bool)
     size = codes.shape[0]
@@ -114,12 +109,7 @@ def _zone_interiors(zmap: ZoneMap, radius: int = 2) -> tuple[np.ndarray, np.ndar
     for i, pool in enumerate(pools):
         cells[i, : len(pool)] = pool
         norms[i, : len(pool)] = (pool * pool).sum(axis=1)
-    interiors = (cells, norms, sizes)
-
-    if len(_interior_cache) > 4:
-        _interior_cache.clear()
-    _interior_cache[key] = (zmap.codes, interiors)
-    return interiors
+    return cells, norms, sizes
 
 
 def _switch_times(rng: np.random.Generator, rate_per_min: float, match_len_s: int) -> list[int]:
@@ -232,7 +222,7 @@ def generate_match(
     if winner is None:
         winner = Team.RADIANT if meta_rng.integers(2) == 0 else Team.DIRE
 
-    interiors = _zone_interiors(zone_map)
+    interiors = _zone_interiors(zone_map.codes.tobytes())
     rad_cells, rad_offs = _team_positions(
         np.random.default_rng(radiant_ss), params_radiant, interiors, ZoneLabel.BASE_RADIANT
     )

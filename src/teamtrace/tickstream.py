@@ -120,9 +120,10 @@ class Frame:
     updates: tuple[FrameUpdate, ...]
 
 
-def tick_to_second(tick: int, tick_interval_ms: int = DEFAULT_TICK_INTERVAL_MS) -> int:
-    """Standardize a tick to the nearest second, rounding halves up."""
-    if tick < 0:
+def tick_to_second(tick, tick_interval_ms: int = DEFAULT_TICK_INTERVAL_MS):
+    """Standardize a tick to the nearest second, rounding halves up.
+    Accepts scalars or integer arrays."""
+    if np.any(np.asarray(tick) < 0):
         raise ValueError("tick must be non-negative")
     return (tick * tick_interval_ms + 500) // 1000
 
@@ -322,8 +323,13 @@ def _check_updates(header: StreamHeader, heads: np.ndarray, counts: np.ndarray,
                    upd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every entity is declared in the header and unique within its frame,
     every cell is on the grid and every offset finite. Returns each
-    update's header slot and frame index."""
+    update's header slot and frame index. An error names the first update
+    byte of the first frame that breaks the rule."""
     frame = np.repeat(np.arange(heads.size), counts)
+
+    def at(f) -> int:
+        return int(heads[f]) + _FRAME_HEAD.size
+
     slot_of = np.full(256, -1, dtype=np.int64)
     slot_of[[p.entity_id for p in header.players]] = np.arange(PLAYER_COUNT)
     ent = upd["entity"]
@@ -331,22 +337,22 @@ def _check_updates(header: StreamHeader, heads: np.ndarray, counts: np.ndarray,
     bad = slot < 0
     if bad.any():
         i = int(np.argmax(bad))
-        raise StreamFormatError(
-            f"unknown entity_id {int(ent[i])}",
-            offset=int(heads[frame[i]]) + _FRAME_HEAD.size,
-        )
+        raise StreamFormatError(f"unknown entity_id {int(ent[i])}", offset=at(frame[i]))
     over = (upd["x"] >= GRID_SIZE) | (upd["y"] >= GRID_SIZE)
     if over.any():
         i = int(np.argmax(over))
         raise StreamFormatError(
-            f"cell ({int(upd['x'][i])},{int(upd['y'][i])}) out of range",
-            offset=int(heads[frame[i]]) + _FRAME_HEAD.size,
+            f"cell ({int(upd['x'][i])},{int(upd['y'][i])}) out of range", offset=at(frame[i])
         )
-    if upd.size and not (np.isfinite(upd["vx"]).all() and np.isfinite(upd["vy"]).all()):
-        raise StreamFormatError("non-finite sub-cell offset")
+    finite = np.isfinite(upd["vx"]) & np.isfinite(upd["vy"])
+    if not finite.all():
+        raise StreamFormatError("non-finite sub-cell offset", offset=at(frame[np.argmin(finite)]))
     # entity unique within frame: no (frame, slot) pair may repeat
-    if upd.size and np.bincount(frame * PLAYER_COUNT + slot).max() > 1:
-        raise StreamFormatError("duplicate entity within a frame")
+    repeated = np.bincount(frame * PLAYER_COUNT + slot) > 1
+    if repeated.any():
+        raise StreamFormatError(
+            "duplicate entity within a frame", offset=at(np.argmax(repeated) // PLAYER_COUNT)
+        )
     return slot, frame
 
 
@@ -401,7 +407,7 @@ def tracks_from_stream(data: bytes, duration_s: int | Mapping[int, int]):
     if duration_s > MAX_DURATION_S:
         raise StreamFormatError(f"duration {duration_s} s exceeds the {MAX_DURATION_S} s limit")
     upd, upd_ticks, slot = _update_arrays(data, header, heads, ticks, counts)
-    secs = (upd_ticks * header.tick_interval_ms + 500) // 1000
+    secs = tick_to_second(upd_ticks, header.tick_interval_ms)
     # the keyframe puts every slot at second 0; update indices grow with the
     # tick, so the latest update per (slot, second) is a maximum and carrying
     # it forward is a running maximum; int32 keeps the index grid at twice

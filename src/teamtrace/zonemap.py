@@ -9,6 +9,7 @@ map, so pixel (col, row) paints grid cell (x=col, y=127-row).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -116,42 +117,31 @@ def format_legend(legend: dict[ZoneLabel, Color]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Four header tokens (magic, width, height, maxval), each after whitespace and
+# '#' comments that run to the end of the line; a missing token is None. re
+# compiles it on first use, so commands that read no pixmap never pay for it.
+_PPM_HEADER = rb"(?:(?:\s|#[^\n]*(?=\n|\Z))*([^\s#]\S*))?" * 4
+
+
 def _parse_ppm(data: bytes) -> tuple[int, int, np.ndarray]:
     """Parse P3/P6 pixmap bytes into (width, height, (h, w, 3) uint8)."""
-
-    pos = 0
-    n = len(data)
-
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < n:
-            c = data[pos : pos + 1]
-            if c == b"#":
-                while pos < n and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        if pos >= n:
-            raise ZoneMapError("unexpected end of pixmap header")
-        start = pos
-        while pos < n and not data[pos : pos + 1].isspace():
-            pos += 1
-        return data[start:pos]
-
-    magic = next_token()
+    header = re.match(_PPM_HEADER, data)
+    magic, *fields = header.groups()
+    if magic is None:
+        raise ZoneMapError("unexpected end of pixmap header")
     if magic not in (b"P3", b"P6"):
         raise ZoneMapError(f"not a P3/P6 pixmap (magic {magic!r})")
+    # unsigned decimal digits only: int() would also take a sign or '_'
+    if not all(f and f.isdigit() for f in fields):
+        raise ZoneMapError("malformed pixmap header")
     try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError:
+        width, height, maxval = map(int, fields)
+    except ValueError:  # past int()'s digit limit
         raise ZoneMapError("malformed pixmap header") from None
     if maxval != 255:
         raise ZoneMapError(f"unsupported maxval {maxval} (expected 255)")
     count = width * height * 3
+    pos, n = header.end(), len(data)
 
     if magic == b"P6":
         pos += 1  # single whitespace byte after maxval

@@ -416,13 +416,15 @@ class TestAnalysisCommands:
          "argument --provisional: unknown zone name: 'nowhere'"),
         (["zonemap-draft", "--provisional", "void"],
          "argument --provisional: provisional zone must be non-void"),
+        (["heatmap", "--start", "-5"], "argument --start: must be at least 0, got -5"),
+        (["heatmap", "--end", "-1"], "argument --end: must be at least 0, got -1"),
     ], ids=["zones-zero-min-dwell", "anova-zero-min-dwell", "unknown-provisional",
-            "void-provisional"])
+            "void-provisional", "heatmap-negative-start", "heatmap-negative-end"])
     def test_bad_zone_flag_is_one_line_usage_error(self, workspace, tmp_path, capsys,
                                                    argv, message):
         command, *flags = argv
         meta = ["--meta", str(workspace / "streams" / "matches.csv")]
-        if command == "zonemap-draft":
+        if command in ("zonemap-draft", "heatmap"):
             meta = []
         out = tmp_path / "o"
         assert main([

@@ -53,6 +53,14 @@ class TestTickToSecond:
         with pytest.raises(ValueError):
             tick_to_second(-1)
 
+    @pytest.mark.parametrize("interval", [1, 33, 100, 999])
+    def test_array_matches_scalar(self, interval):
+        ticks = np.arange(0, 5000, 3, dtype=np.int64)
+        got = tick_to_second(ticks, interval)
+        assert got.tolist() == [tick_to_second(t, interval) for t in ticks.tolist()]
+        with pytest.raises(ValueError, match="non-negative"):
+            tick_to_second(np.array([0, 5, -1, 7]), interval)
+
     @pytest.mark.parametrize("interval", [1, 33, 64, 100, 999])
     def test_tick_for_second_inverts(self, interval):
         for s in range(0, 4000, 7):
@@ -130,6 +138,25 @@ class TestDecode:
         with pytest.raises(StreamFormatError, match="at byte") as exc:
             decode(data[:cut])
         assert exc.value.offset is not None
+
+    @pytest.mark.parametrize("update, message", [
+        (FrameUpdate(77, 1, 1, 0.0, 0.0), "unknown entity_id 77"),
+        (FrameUpdate(3, 200, 1, 0.0, 0.0), r"cell \(200,1\) out of range"),
+        (FrameUpdate(3, 1, 1, float("nan"), 0.0), "non-finite sub-cell offset"),
+        (FrameUpdate(3, 1, 1, 0.0, float("-inf")), "non-finite sub-cell offset"),
+        (FrameUpdate(3, 1, 1, 0.0, 0.0), "duplicate entity within a frame"),
+    ], ids=["unknown-entity", "off-grid", "nan-vx", "inf-vy", "duplicate-entity"])
+    def test_content_error_names_its_frame(self, update, message):
+        # the broken update sits in the frame at tick 40, next to entity 3;
+        # the offset is that frame's first update byte
+        frames = [keyframe(), Frame(40, (FrameUpdate(3, 5, 5, 0.0, 0.0), update))]
+        frame_updates = HEADER_SIZE + 6 + 10 * UPDATE_DTYPE.itemsize + 6
+        data = pack_by_hand(make_header(), frames)
+        for fn, args in ((decode, ()), (tracks_from_stream, (2,))):
+            with pytest.raises(StreamFormatError, match=message) as exc:
+                fn(data, *args)
+            assert exc.value.offset == frame_updates
+            assert str(exc.value).endswith(f"(at byte {frame_updates})")
 
     def test_trailing_garbage_rejected(self):
         data = encode(make_header(), [keyframe()])

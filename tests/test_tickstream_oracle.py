@@ -1,7 +1,8 @@
 """The DTL2 codec and the synthetic generator must reproduce the per-frame
 reference in ``tickstream_oracle``: equal headers and arrays for valid
 streams, an equal (class, message, offset) for rejected ones, and equal
-``generate_match`` bytes."""
+``generate_match`` bytes. Two content errors the oracle leaves without an
+offset are placed here from the oracle's own frame walk."""
 import struct
 
 import numpy as np
@@ -39,16 +40,40 @@ def assert_same(got, want):
         assert body == want_body
 
 
+# The oracle raises these two content errors without a byte offset; the
+# library names the first update byte of the first frame breaking the rule.
+UNPLACED = {
+    "non-finite sub-cell offset":
+        lambda block: not (np.isfinite(block["vx"]) & np.isfinite(block["vy"])).all(),
+    "duplicate entity within a frame":
+        lambda block: np.unique(block["entity"]).size < block.size,
+}
+
+
+def oracle_outcome(fn, data: bytes, *args):
+    """``outcome`` of an oracle function, with the offset of an unplaced
+    error found by walking the oracle's frames in stream order."""
+    got = outcome(fn, data, *args)
+    if got[0] == "error" and got[2] in UNPLACED:
+        _, _, counts, offsets = oracle._scan(data)
+        off = next(
+            off for cnt, off in zip(counts, offsets)
+            if UNPLACED[got[2]](np.frombuffer(data, dtype=UPDATE_DTYPE, count=cnt, offset=off))
+        )
+        got = ("error", got[1], f"{got[2]} (at byte {off})", off)
+    return got
+
+
 def check_stream(data: bytes, durations=(0, 1)):
-    assert_same(outcome(tickstream.stream_summary, data), outcome(oracle.stream_summary, data))
-    assert_same(outcome(tickstream.decode, data), outcome(oracle.decode, data))
+    assert_same(outcome(tickstream.stream_summary, data), oracle_outcome(oracle.stream_summary, data))
+    assert_same(outcome(tickstream.decode, data), oracle_outcome(oracle.decode, data))
     last = outcome(oracle.stream_summary, data)
     # a mutated tick can put the last second far out; keep tracks small
     extra = [last[1][1], last[1][1] + 3] if last[0] == "ok" and last[1][1] < 5000 else []
     for duration in (*durations, *extra):
         assert_same(
             outcome(tickstream.tracks_from_stream, data, duration),
-            outcome(oracle.tracks_from_stream, data, duration),
+            oracle_outcome(oracle.tracks_from_stream, data, duration),
         )
 
 

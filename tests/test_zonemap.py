@@ -97,6 +97,30 @@ class TestLoad:
         with pytest.raises(ZoneMapError, match="P3/P6"):
             load_zone_map(b"P5\n1 1\n255\n\x00", DEFAULT_LEGEND_TEXT)
 
+    @pytest.mark.parametrize("header", [
+        b"P6\n-1 -3\n255\n", b"P6\n-128 -128\n255\n", b"P6\n+128 128\n255\n",
+        b"P6\n128 1_28\n255\n", b"P6\n128 128\n+255\n",
+    ], ids=["minus-1-minus-3", "minus-128", "plus-sign", "underscore", "signed-maxval"])
+    @pytest.mark.parametrize("kind", ["P6", "P3"])
+    def test_header_numbers_are_unsigned_decimal(self, header, kind):
+        # a signed number must never reach numpy's reshape, which reads -1 as "infer"
+        body = bytes(9) if kind == "P6" else b"0 " * 9
+        blob = header.replace(b"P6", kind.encode(), 1) + body
+        with pytest.raises(ZoneMapError, match="malformed pixmap header"):
+            load_zone_map(blob, DEFAULT_LEGEND_TEXT)
+
+    def test_header_comments_and_whitespace(self):
+        blob = render_zone_map(default_zone_map())
+        body = blob[len(b"P6\n128 128\n255\n"):]
+        commented = b"P6 # comment\n\t128#x\n128 # y\n255\n" + body
+        with pytest.raises(ZoneMapError, match="malformed"):
+            load_zone_map(commented, DEFAULT_LEGEND_TEXT)  # '#' inside a token is not a comment
+        commented = b"P6 # comment\n\t128\n#\n128 # y\n255\n" + body
+        assert load_zone_map(commented, DEFAULT_LEGEND_TEXT) == default_zone_map()
+        for cut in (b"", b"# only a comment", b"P6 128 128 #255"):
+            with pytest.raises(ZoneMapError):
+                load_zone_map(cut, DEFAULT_LEGEND_TEXT)
+
     def test_fuzzed_input_never_crashes(self):
         rng = np.random.default_rng(2)
         valid = render_zone_map(default_zone_map())
