@@ -2,8 +2,7 @@
 
 Subcommands: ingest, zones, distance, phases, anova, cluster, heatmap,
 synth, zonemap-draft. Every command is deterministic for fixed inputs,
-flags and seed; the worker count (TEAMTRACE_WORKERS) never changes any
-output byte.
+flags and seed.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 partial batch
 failure.
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,8 +33,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
-WORKERS_ENV = "TEAMTRACE_WORKERS"
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -51,17 +47,6 @@ class RunConfig:
     seed: int = 0
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise UsageError(f"{WORKERS_ENV} must be >= 1")
-    return n
-
-
 class UsageError(Exception):
     pass
 
@@ -73,17 +58,6 @@ class DataError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; we reserve 2 for data
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _pool_map(fn, items: Sequence, workers: int) -> list:
-    """Order-preserving map; results identical for any worker count."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-    # the pool starts all its processes up front, so never ask for more than items
-    workers = min(workers, len(items))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (workers * 4))))
 
 
 def _load_zone_map(args) -> ZoneMap:
@@ -207,40 +181,35 @@ def _write_json(path: Path, doc) -> None:
 # ── commands ──────────────────────────────────────────────────────────────
 
 
-def _ingest_one(item):
-    """(header, cells, None) for a decodable stream, else (None, None, error).
-    A recorded duration wins over the stream's last standardized second."""
-    from . import tickstream
-    path, durations = item
-    try:
-        return (*tickstream.tracks_from_stream(Path(path).read_bytes(), durations), None)
-    except (OSError, ValueError) as e:
-        return (None, None, str(e))
-
-
 def cmd_ingest(args) -> int:
+    """Decode each stream and write its trajectory CSV. A recorded duration
+    wins over the stream's last standardized second."""
     from . import tickstream
     out = _out_dir(args)
     meta = _read_meta(args.meta) if args.meta else {}
     durations = {mid: m.duration_s for mid, m in meta.items()}
     paths = sorted(args.streams)
-    results = _pool_map(_ingest_one, [(p, durations) for p in paths], _workers_from_env())
 
-    failures = 0
+    errors = []
     source: dict[int, str] = {}
-    for path, (header, cells, err) in zip(paths, results):
-        if err is None and header.match_id in source:
-            err = f"match {header.match_id} already ingested from {source[header.match_id]}"
-        if err is not None:
-            failures += 1
-            print(f"error: {path}: {err}", file=sys.stderr)
+    for path in paths:
+        try:
+            header, cells = tickstream.tracks_from_stream(Path(path).read_bytes(), durations)
+        except (OSError, ValueError) as e:
+            errors.append(f"{path}: {e}")
+            continue
+        if header.match_id in source:
+            errors.append(f"{path}: match {header.match_id} already ingested from "
+                          f"{source[header.match_id]}")
             continue
         source[header.match_id] = path
         with open(out / f"{header.match_id}.csv", "w") as f:
             tickstream.write_trajectory_csv(header, cells, f)
-    if failures == len(results):
-        return EXIT_DATA
-    return EXIT_PARTIAL if failures else EXIT_OK
+    if len(errors) == len(paths):
+        raise DataError(f"no stream ingested ({len(errors)} failed); first: {errors[0]}")
+    for err in errors:
+        print(f"error: {err}", file=sys.stderr)
+    return EXIT_PARTIAL if errors else EXIT_OK
 
 
 def cmd_zones(args) -> int:
@@ -381,7 +350,6 @@ def cmd_cluster(args) -> int:
             "m": m,
             "delay": args.delay,
             "seed": args.seed,
-            "min_dwell_s": args.min_dwell,
         },
         "ids": ids,
         "memberships": [[round(v, 12) for v in row] for row in fuzzy.memberships.tolist()],
@@ -438,18 +406,6 @@ _DEFAULT_REGIMES = (
 )
 
 
-def _synth_one(item):
-    from . import synth
-    from .defaultmap import default_zone_map
-    sigma, rate, duration, zmap_codes_legend, seed, match_id, tier_name = item
-    zmap = default_zone_map() if zmap_codes_legend is None else zmap_codes_legend
-    params = synth.RegimeParams(sigma, rate, duration)
-    stream, meta = synth.generate_match(
-        params, params, zmap, seed=seed, match_id=match_id, tier=SkillTier.parse(tier_name)
-    )
-    return stream, meta
-
-
 def cmd_synth(args) -> int:
     from . import synth
     regimes = args.regime or list(_DEFAULT_REGIMES)
@@ -459,22 +415,19 @@ def cmd_synth(args) -> int:
         raise UsageError(f"--duration {args.duration} exceeds the {MAX_DURATION_S} s limit")
     zmap = _load_zone_map(args)
 
-    items = []
-    match_id = args.first_id
-    for ri, (name, sigma, rate) in enumerate(regimes):
-        for j in range(args.matches):
-            items.append(
-                (sigma, rate, args.duration, None if args.zone_map is None else zmap,
-                 args.seed * 1_000_003 + ri * 10_000 + j, match_id, name)
-            )
-            match_id += 1
-    results = _pool_map(_synth_one, items, _workers_from_env())
-
     out = _out_dir(args)
     metas = []
-    for stream, meta in results:
-        (out / f"{meta.match_id}.dtl2").write_bytes(stream)
-        metas.append(meta)
+    match_id = args.first_id
+    for ri, (name, sigma, rate) in enumerate(regimes):
+        params, tier = synth.RegimeParams(sigma, rate, args.duration), SkillTier.parse(name)
+        for j in range(args.matches):
+            stream, meta = synth.generate_match(
+                params, params, zmap, seed=args.seed * 1_000_003 + ri * 10_000 + j,
+                match_id=match_id, tier=tier,
+            )
+            (out / f"{match_id}.dtl2").write_bytes(stream)
+            metas.append(meta)
+            match_id += 1
     with open(out / "matches.csv", "w") as f:
         synth.write_metadata_csv(f, metas)
     return EXIT_OK
@@ -569,11 +522,12 @@ def _provisional_zone(text: str) -> ZoneLabel:
     return label
 
 
-def _add_common(p: _Parser, *, meta_required: bool = False, zone_args: bool = False) -> None:
+def _add_common(p: _Parser, *, meta: bool = False, zone_args: bool = False) -> None:
     p.add_argument("--trajectories", nargs="+", required=True,
                    help="trajectory CSV files or directories of them")
-    p.add_argument("--meta", required=meta_required,
-                   help="match metadata CSV (match_id,tier,winner,duration_s)")
+    if meta:
+        p.add_argument("--meta", required=True,
+                       help="match metadata CSV (match_id,tier,winner,duration_s)")
     if zone_args:
         p.add_argument("--map", dest="zone_map", help="zone pixmap (P3/P6 PPM)")
         p.add_argument("--legend", help="zone legend text file")
@@ -608,7 +562,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("zones", help="per-player zone-change table")
-    _add_common(p, meta_required=True, zone_args=True)
+    _add_common(p, meta=True, zone_args=True)
     p.add_argument("--min-dwell", type=_int_at_least(1), default=cfg.min_dwell_s,
                    help="seconds a stay must last to count")
     p.set_defaults(fn=cmd_zones)
@@ -618,18 +572,18 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("phases", help="per-category distance aggregates by phase")
-    _add_common(p, meta_required=True)
+    _add_common(p, meta=True)
     p.add_argument("--window", type=_int_at_least(1), default=cfg.window_s,
                    help="trailing moving-average window, seconds")
     p.set_defaults(fn=cmd_phases)
 
     p = sub.add_parser("anova", help="one-way ANOVA over tiers and outcomes")
-    _add_common(p, meta_required=True, zone_args=True)
+    _add_common(p, meta=True, zone_args=True)
     p.add_argument("--min-dwell", type=_int_at_least(1), default=cfg.min_dwell_s)
     p.set_defaults(fn=cmd_anova)
 
     p = sub.add_parser("cluster", help="permutation-distribution clustering")
-    _add_common(p, meta_required=True)
+    _add_common(p, meta=True)
     p.add_argument("--k", type=_int_at_least(2), default=cfg.k, help="cluster count")
     p.add_argument("--r", type=_float_above(1.0), default=cfg.r, help="membership exponent")
     # m above pdclust.MAX_EMBED_DIM is left to pdclust, a data error as today
@@ -637,7 +591,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="embedding dimension or 'auto'")
     p.add_argument("--delay", type=_int_at_least(1), default=cfg.delay)
     p.add_argument("--seed", type=_int_at_least(0), default=cfg.seed)
-    p.add_argument("--min-dwell", type=_int_at_least(1), default=cfg.min_dwell_s)
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("heatmap", help="visit-count grid and grayscale pixmap")

@@ -1,8 +1,7 @@
 """Shared domain types and rules: the grid, teams, skill tiers, match
 phases, the ten-player lineup and the run defaults.
 
-Everything in this module is immutable and safe to share across worker
-processes.
+Everything in this module is immutable.
 """
 from __future__ import annotations
 

@@ -144,7 +144,7 @@ def _parse_ppm(data: bytes) -> tuple[int, int, np.ndarray]:
     pos, n = header.end(), len(data)
 
     if magic == b"P6":
-        pos += 1  # single whitespace byte after maxval
+        pos += pos < n  # single whitespace byte after maxval, if any
         if n - pos < count:
             raise ZoneMapError(f"pixmap truncated: need {count} bytes, have {n - pos}")
         if n - pos > count:

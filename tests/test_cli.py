@@ -10,7 +10,7 @@ import pytest
 
 import teamtrace
 from teamtrace import tickstream
-from teamtrace.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, _pool_map, main
+from teamtrace.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from genstreams import make_header
 from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT
 from teamtrace.synth import read_metadata_csv
@@ -96,10 +96,13 @@ class TestSynthAndIngest:
         meta = tmp_path / "meta.csv"
         meta.write_text("match_id,tier,winner,duration_s\n1,Normal,Dire,1000000000000\n")
         limit = "s exceeds the 86400 s limit"
+        huge_err, long_err = (f"duration {s} {limit}" for s in (281470681678, 1000000000000))
         for argv, code, err in [
-            ([huge], EXIT_DATA, f"error: {huge}: duration 281470681678 {limit}\n"),
-            ([huge, good], EXIT_PARTIAL, f"error: {huge}: duration 281470681678 {limit}\n"),
-            ([good, "--meta", meta], EXIT_DATA, f"error: {good}: duration 1000000000000 {limit}\n"),
+            ([huge], EXIT_DATA,
+             f"teamtrace: error: no stream ingested (1 failed); first: {huge}: {huge_err}\n"),
+            ([huge, good], EXIT_PARTIAL, f"error: {huge}: {huge_err}\n"),
+            ([good, "--meta", meta], EXIT_DATA,
+             f"teamtrace: error: no stream ingested (1 failed); first: {good}: {long_err}\n"),
         ]:
             out = tmp_path / "out"
             assert main(["ingest", *map(str, argv), "-o", str(out)]) == code
@@ -119,16 +122,23 @@ class TestSynthAndIngest:
         files = sorted(str(p) for p in (workspace / "streams").glob("*.dtl2"))
         scan, calls = tickstream._scan, []
         monkeypatch.setattr(tickstream, "_scan", lambda data: calls.append(data) or scan(data))
-        monkeypatch.setenv("TEAMTRACE_WORKERS", "1")
         for meta in ([], ["--meta", str(workspace / "streams" / "matches.csv")]):
             calls.clear()
             assert main(["ingest", *files, *meta, "-o", str(tmp_path / "o")]) == EXIT_OK
             assert len(calls) == len(files)
 
-    def test_all_failures(self, tmp_path):
-        bad = tmp_path / "junk.dtl2"
-        bad.write_bytes(b"\x00" * 40)
-        assert main(["ingest", str(bad), "-o", str(tmp_path / "o")]) == EXIT_DATA
+    def test_all_failures(self, tmp_path, capsys):
+        junk, short_a, short_b = (tmp_path / f"{name}.dtl2" for name in ("junk", "a", "b"))
+        junk.write_bytes(b"\x00" * 40)
+        short_a.write_bytes(b"DTL2")
+        short_b.write_bytes(b"DTL2")
+        # exit 2 is one line however many streams fail: the count and the first failure
+        for streams in ([junk], [short_b, short_a]):
+            assert main(["ingest", *map(str, streams), "-o", str(tmp_path / "o")]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith(f"teamtrace: error: no stream ingested ({len(streams)} failed);"
+                                  f" first: {min(streams)}: ")
 
     def test_synth_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -169,51 +179,6 @@ class TestSynthAndIngest:
             f"teamtrace: error: --first-id {first_id} puts the last match id past 2**64 - 1\n"
         )
         assert not out.exists()
-
-    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert main(["synth", "--matches", "2", "--duration", "60", "--seed", "4",
-                     "-o", str(serial)]) == EXIT_OK
-        monkeypatch.setenv("TEAMTRACE_WORKERS", "2")
-        assert main(["synth", "--matches", "2", "--duration", "60", "--seed", "4",
-                     "-o", str(parallel)]) == EXIT_OK
-        for p in sorted(serial.iterdir()):
-            assert p.read_bytes() == (parallel / p.name).read_bytes()
-
-        streams = sorted(str(p) for p in serial.glob("*.dtl2"))
-        t_serial, t_parallel = tmp_path / "ts", tmp_path / "tp"
-        monkeypatch.delenv("TEAMTRACE_WORKERS")
-        assert main(["ingest", *streams, "--meta", str(serial / "matches.csv"),
-                     "-o", str(t_serial)]) == EXIT_OK
-        monkeypatch.setenv("TEAMTRACE_WORKERS", "3")
-        assert main(["ingest", *streams, "--meta", str(serial / "matches.csv"),
-                     "-o", str(t_parallel)]) == EXIT_OK
-        for p in sorted(t_serial.iterdir()):
-            assert p.read_bytes() == (t_parallel / p.name).read_bytes()
-
-    @pytest.mark.parametrize("workers, items, started", [(64, 2, 2), (3, 10, 3), (2, 2, 2)])
-    def test_pool_never_starts_more_workers_than_items(self, monkeypatch, workers, items,
-                                                      started):
-        import concurrent.futures
-
-        asked = []
-
-        class RecordingPool:  # stands in for the pool and starts no process
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        assert _pool_map(abs, list(range(-items, 0)), workers) == list(range(items, 0, -1))
-        assert asked == [started]
 
     def test_match_missing_from_metadata_is_data_error(self, workspace, tmp_path, capsys):
         short_meta = tmp_path / "meta.csv"
@@ -351,7 +316,7 @@ class TestAnalysisCommands:
         assert (out1 / "dissimilarity.csv").read_bytes() == (out2 / "dissimilarity.csv").read_bytes()
         doc = json.loads((out1 / "clusters.json").read_text())
         assert doc["config"] == {
-            "k": 3, "r": 1.15, "m": 5, "delay": 1, "seed": 7, "min_dwell_s": 5,
+            "k": 3, "r": 1.15, "m": 5, "delay": 1, "seed": 7,
         }
         assert len(doc["ids"]) == 12
         assert len(doc["memberships"]) == 12
@@ -392,12 +357,17 @@ class TestAnalysisCommands:
         ]) == EXIT_USAGE
 
     @pytest.mark.parametrize("flags,message", [
-        (["--r", "nan"], "argument --r: must be finite and above 1, got nan"),
-        (["--r", "inf"], "argument --r: must be finite and above 1, got inf"),
-        (["--delay", "0"], "argument --delay: must be at least 1, got 0"),
-        (["--m", "1"], "argument --m: must be at least 2, got 1"),
-        (["--min-dwell", "0"], "argument --min-dwell: must be at least 1, got 0"),
-        (["--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+        (["--r", "nan"],
+         "teamtrace cluster: error: argument --r: must be finite and above 1, got nan"),
+        (["--r", "inf"],
+         "teamtrace cluster: error: argument --r: must be finite and above 1, got inf"),
+        (["--delay", "0"],
+         "teamtrace cluster: error: argument --delay: must be at least 1, got 0"),
+        (["--m", "1"], "teamtrace cluster: error: argument --m: must be at least 2, got 1"),
+        # clustering reads no dwell time, so the top-level parser refuses the flag
+        (["--min-dwell", "0"], "teamtrace: error: unrecognized arguments: --min-dwell 0"),
+        (["--seed", "-1"],
+         "teamtrace cluster: error: argument --seed: must be at least 0, got -1"),
     ], ids=["nan-r", "inf-r", "zero-delay", "m-one", "zero-min-dwell", "negative-seed"])
     def test_bad_cluster_flag_is_one_line_usage_error(self, workspace, tmp_path, capsys,
                                                        flags, message):
@@ -406,7 +376,7 @@ class TestAnalysisCommands:
             "cluster", "--trajectories", str(workspace / "traj"),
             "--meta", str(workspace / "streams" / "matches.csv"), *flags, "-o", str(out),
         ]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"teamtrace cluster: error: {message}\n"
+        assert capsys.readouterr().err == f"{message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from teamtrace import tickstream
-from teamtrace.cli import main
+from teamtrace.cli import build_parser, main
 from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT, default_zone_map
 from teamtrace.zonemap import render_zone_map
 
@@ -40,12 +40,13 @@ FLAGS = {
     "distance": [],
     "phases": ["window"],
     "anova": ["min-dwell"],
-    "cluster": ["k", "r", "m", "delay", "seed", "min-dwell"],
+    "cluster": ["k", "r", "m", "delay", "seed"],
     "heatmap": ["start", "end"],
     "synth": ["matches", "duration", "seed", "first-id", "regime"],
     "zonemap-draft": ["provisional"],
 }
-# the files each command reads; "streams" is ingest's positional argument
+# the files each command reads; "streams" is ingest's positional argument,
+# and "map" brings "legend" with it
 INPUTS = {
     "ingest": ["streams", "meta"],
     "zones": ["trajectories", "meta", "map"],
@@ -136,13 +137,14 @@ def invocation(batch: Path, root: Path, data):
     argv = [command]
     if "streams" in inputs:
         good = sorted((batch / "streams").glob("*.dtl2"))
-        stream = data.draw(mutated(good[0].read_bytes()), label="stream")
-        try:  # a flipped tick can stretch the match to a day of seconds
-            assume(tickstream.stream_summary(stream)[1] <= 60)
-        except ValueError:
-            pass
-        (root / "s.dtl2").write_bytes(stream)
-        argv += [str(root / "s.dtl2")] + [str(p) for p in good[1:data.draw(st.integers(1, 3))]]
+        for i, path in enumerate(good[:data.draw(st.integers(1, 3))]):
+            stream = data.draw(mutated(path.read_bytes()), label=f"stream {i}")
+            try:  # a flipped tick can stretch the match to a day of seconds
+                assume(tickstream.stream_summary(stream)[1] <= 60)
+            except ValueError:
+                pass
+            (root / f"s{i}.dtl2").write_bytes(stream)
+            argv.append(str(root / f"s{i}.dtl2"))
     if "trajectories" in inputs:
         traj = root / "traj"
         shutil.copytree(batch / "traj", traj)
@@ -169,6 +171,18 @@ def invocation(batch: Path, root: Path, data):
         (root / "run.cfg").write_text(data.draw(configs(command), label="config text"))
         argv += ["--config", str(root / "run.cfg")]
     return argv + ["-o", str(root / "out")]
+
+
+def test_fuzz_tables_name_every_option_of_the_parser():
+    """FLAGS and INPUTS list each subcommand's options, so the fuzzing
+    above reaches every option the parser accepts and no other."""
+    _, commands = build_parser()
+    assert sorted(commands) == sorted(FLAGS)
+    for name, command in commands.items():
+        options = {a.option_strings[-1].lstrip("-") if a.option_strings else a.dest
+                   for a in command._actions if a.dest not in ("help", "out")}
+        tables = {*FLAGS[name], *INPUTS[name], *(["legend"] if "map" in INPUTS[name] else [])}
+        assert options == tables, name
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -90,8 +90,11 @@ class TestLoad:
 
     def test_truncated_p6_rejected(self):
         blob = render_zone_map(default_zone_map())
-        with pytest.raises(ZoneMapError, match="truncated"):
-            load_zone_map(blob[:-10], DEFAULT_LEGEND_TEXT)
+        # the second ends right after maxval, with no whitespace byte
+        for data, have in ((blob[:-10], 49142), (b"P6\n128 128\n255", 0)):
+            with pytest.raises(ZoneMapError, match=f"^pixmap truncated: need 49152 bytes, "
+                                                   f"have {have}$"):
+                load_zone_map(data, DEFAULT_LEGEND_TEXT)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ZoneMapError, match="P3/P6"):
