@@ -71,7 +71,8 @@ def random_stream(rng: np.random.Generator):
 def pack_by_hand(header: StreamHeader, frames) -> bytes:
     """DTL2 bytes assembled with ``struct`` from the format table, whatever
     the frames hold: no rule is checked."""
-    raw = [struct.pack("<4sHQHB", b"DTL2", 1, header.match_id, header.tick_interval_ms, 10)]
+    raw = [struct.pack("<4sHQHB", b"DTL2", 1, header.match_id, header.tick_interval_ms,
+                       len(header.players))]
     raw += [struct.pack("<BBI", p.entity_id, p.team.value, p.player_id) for p in header.players]
     for frame in frames:
         raw.append(struct.pack("<IH", frame.tick, len(frame.updates)))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import struct
 
@@ -11,7 +12,9 @@ from teamtrace.tickstream import (
     Frame,
     FrameUpdate,
     HEADER_SIZE,
+    PlayerSlot,
     StreamFormatError,
+    StreamHeader,
     UPDATE_DTYPE,
     _pack_frames,
     decode,
@@ -117,6 +120,45 @@ class TestEncode:
         frame = Frame(0, tuple(FrameUpdate(i, 1.5 if i == 2 else 1, 1, 0.0, 0.0) for i in range(10)))
         with pytest.raises(StreamFormatError, match="out of range"):
             encode(make_header(), [frame])
+
+
+    @pytest.mark.parametrize("players, interval", [
+        (make_header().players[:9], 33),
+        (make_header().players + (PlayerSlot(10, Team.DIRE, 110),), 33),
+        (make_header().players[:1] * 2 + make_header().players[2:], 33),
+        (make_header().players, 0),
+    ], ids=["9-slots", "11-slots", "duplicate-entity", "interval-0"])
+    def test_header_error_is_decodes_error(self, players, interval):
+        # encode refuses a header with the message and offset decode gives
+        # for the bytes it would write
+        header = StreamHeader(7, players, interval)
+        with pytest.raises(StreamFormatError) as want:
+            decode(pack_by_hand(header, [keyframe()]))
+        with pytest.raises(StreamFormatError) as got:
+            encode(header, [keyframe()])
+        assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
+
+    @pytest.mark.parametrize("field, value", [
+        ("match_id", 2**64), ("match_id", 1.5), ("tick_interval_ms", 65536),
+        ("tick_interval_ms", 33.5), ("entity_id", 256), ("entity_id", 1.5),
+        ("player_id", 2**32), ("player_id", 1.5), ("team", 1),
+    ])
+    def test_header_field_its_bytes_cannot_hold_rejected(self, field, value):
+        header = make_header()
+        if field in PlayerSlot._fields:
+            players = list(header.players)
+            players[3] = players[3]._replace(**{field: value})
+            header = dataclasses.replace(header, players=tuple(players))
+        else:
+            header = dataclasses.replace(header, **{field: value})
+        with pytest.raises(StreamFormatError):
+            encode(header, [keyframe()])
+
+    def test_header_error_comes_before_frame_errors(self):
+        # as in stream order, where the header precedes every frame
+        header = make_header(interval=0)
+        with pytest.raises(StreamFormatError, match="tick_interval_ms"):
+            encode(header, [keyframe(), Frame(2**32, updates([3], (300, 1)))])
 
 
 class TestDecode:
