@@ -25,12 +25,13 @@ Frames, repeated until end of stream:
 
 Updates are sparse: a frame carries only the entities whose position
 changed. The first frame must be a keyframe at tick 0 listing all ten
-entities, so every later position is reachable by carry-forward; encode,
-decode and the ingest path hold a stream to this rule and the others above
-through one set of array checks. One tick
-spans ``tick_interval_ms`` of wall time; analysis runs on a 1 Hz grid, so
-ticks are standardized to the nearest second (half-up) and, within one
-second, the latest tick wins.
+entities, so every later position is reachable by carry-forward. The byte
+parser holds the only statement of this rule and the others above, header
+rules included: decode and the ingest path run it on the bytes they read,
+and encode runs it on the bytes it writes. One tick spans
+``tick_interval_ms`` of wall time; analysis runs on a 1 Hz grid, so ticks
+are standardized to the nearest second (half-up) and, within one second,
+the latest tick wins.
 
 Sub-cell offsets are stored as binary32 and are rounded to that grid on
 write; on the format's value domain decode(encode(x)) == x and re-encoding
@@ -103,7 +104,6 @@ class StreamHeader:
     match_id: int
     players: tuple[PlayerSlot, ...]
     tick_interval_ms: int = DEFAULT_TICK_INTERVAL_MS
-    version: int = FORMAT_VERSION
 
 
 class FrameUpdate(NamedTuple):
@@ -134,35 +134,18 @@ def tick_for_second(second, tick_interval_ms: int = DEFAULT_TICK_INTERVAL_MS):
     return (1000 * second + tick_interval_ms // 2) // tick_interval_ms
 
 
-def _check_header(header: StreamHeader) -> None:
-    if header.version != FORMAT_VERSION:
-        raise StreamFormatError(f"unsupported version {header.version}")
-    if not 0 <= header.match_id < 1 << 64:
-        raise StreamFormatError("match_id out of uint64 range")
-    if not 1 <= header.tick_interval_ms < 1 << 16:
-        raise StreamFormatError("tick_interval_ms out of range")
-    if len(header.players) != PLAYER_COUNT:
-        raise StreamFormatError(
-            f"expected {PLAYER_COUNT} player slots, got {len(header.players)}"
-        )
-    seen = set()
-    for slot in header.players:
-        if not 0 <= slot.entity_id < 256:
-            raise StreamFormatError(f"entity_id {slot.entity_id} out of uint8 range")
-        if slot.entity_id in seen:
-            raise StreamFormatError(f"duplicate entity_id {slot.entity_id} in header")
-        seen.add(slot.entity_id)
-        if not isinstance(slot.team, Team):
-            raise StreamFormatError("player slot team must be a Team")
-        if not 0 <= slot.player_id < 1 << 32:
-            raise StreamFormatError(f"player_id {slot.player_id} out of uint32 range")
-
-
 def _pack_header(header: StreamHeader) -> bytes:
-    head = _HEADER.pack(MAGIC, header.version, header.match_id, header.tick_interval_ms,
-                        len(header.players))
-    return head + b"".join(_SLOT.pack(p.entity_id, p.team.value, p.player_id)
-                           for p in header.players)
+    """The header's bytes, held to the checks :func:`decode` reads them with."""
+    if not all(isinstance(slot.team, Team) for slot in header.players):
+        raise StreamFormatError("player slot team must be a Team")
+    try:
+        data = _HEADER.pack(MAGIC, FORMAT_VERSION, header.match_id, header.tick_interval_ms,
+                            len(header.players)) + b"".join(
+            _SLOT.pack(p.entity_id, p.team.value, p.player_id) for p in header.players)
+    except struct.error as e:  # a value its field's bytes cannot hold
+        raise StreamFormatError(f"unencodable header: {e}") from None
+    _parse_header(data)
+    return data
 
 
 def _fits(value, bits: int) -> bool:
@@ -175,11 +158,11 @@ def encode(header: StreamHeader, frames: Iterable[Frame]) -> bytes:
 
     Each value must first fit its field, as bytes always do: ticks in
     uint32, under 2**16 updates a frame, integer entities and cells in
-    0..255, offsets in the binary32 range. The frames then become the arrays
-    :func:`_pack_frames` takes and meet the frame rules :func:`decode` holds
-    bytes to, so ``encode`` rejects exactly the frames ``decode`` would.
+    0..255, offsets in the binary32 range. The bytes written are then held
+    to :func:`decode`'s own checks, so ``encode`` rejects exactly what
+    ``decode`` would, with the same message and byte offset.
     """
-    _check_header(header)
+    _pack_header(header)  # header errors first, as in stream order
     frames = list(frames)
     for fits, problem in (
         (lambda f: _fits(f.tick, 32), "tick out of uint32 range"),
@@ -195,10 +178,9 @@ def encode(header: StreamHeader, frames: Iterable[Frame]) -> bytes:
     ticks = np.array([f.tick for f in frames], dtype=np.int64)
     counts = np.array([len(f.updates) for f in frames], dtype=np.int64)
     updates = np.array([u for f in frames for u in f.updates], dtype=UPDATE_DTYPE)
-    heads = _frame_heads(counts)
-    _check_heads(heads, ticks, counts)
-    _check_updates(header, heads, counts, updates)
-    return _pack_frames(header, ticks, counts, updates)
+    data = _pack_frames(header, ticks, counts, updates)
+    _update_arrays(data, *_scan(data))
+    return data
 
 
 def _head_bytes(heads: np.ndarray) -> np.ndarray:
@@ -222,13 +204,12 @@ def _update_mask(size: int, heads: np.ndarray) -> np.ndarray:
 
 def _pack_frames(header: StreamHeader, ticks: np.ndarray, counts: np.ndarray,
                  updates: np.ndarray) -> bytes:
-    """Array serializer; :func:`encode` checks its frames and calls it.
+    """Array serializer behind :func:`encode` and the synthetic generator.
 
     ``updates`` is an UPDATE_DTYPE array holding every frame's updates
     back to back; ``counts[i]`` updates belong to the frame at ``ticks[i]``.
     Only the header is checked, so the arrays must already be valid.
     """
-    _check_header(header)
     heads = _frame_heads(counts)
     head = np.empty(counts.size, dtype=_HEAD_DTYPE)
     head["tick"] = ticks
@@ -240,12 +221,8 @@ def _pack_frames(header: StreamHeader, ticks: np.ndarray, counts: np.ndarray,
     return buf.tobytes()
 
 
-def _scan(data: bytes):
-    """Parse the header and validate the frame structure.
-
-    Returns (header, heads, ticks, counts) as int64 arrays, ``heads[i]``
-    being the byte offset of frame i's 6-byte head.
-    """
+def _parse_header(data: bytes) -> StreamHeader:
+    """Parse and check the header and player table that open ``data``."""
     if len(data) < _HEADER.size:
         raise StreamFormatError("truncated header", offset=len(data))
     magic, version, match_id, interval, player_count = _HEADER.unpack_from(data, 0)
@@ -270,10 +247,19 @@ def _scan(data: bytes):
             raise StreamFormatError(f"duplicate entity_id {entity_id}", offset=off)
         slots.append(PlayerSlot(entity_id, Team(team_byte), player_id))
         off += _SLOT.size
-    header = StreamHeader(match_id, tuple(slots), interval, version)
+    return StreamHeader(match_id, tuple(slots), interval)
+
+
+def _scan(data: bytes):
+    """Parse the header and validate the frame structure.
+
+    Returns (header, heads, ticks, counts) as int64 arrays, ``heads[i]``
+    being the byte offset of frame i's 6-byte head.
+    """
+    header = _parse_header(data)
 
     # the only per-frame loop: step from head to head by each update count
-    n = len(data)
+    off, n = HEADER_SIZE, len(data)
     heads = []
     append, unpack = heads.append, _FRAME_HEAD.unpack_from
     head_size, unit = _FRAME_HEAD.size, UPDATE_DTYPE.itemsize
@@ -296,13 +282,13 @@ def _scan(data: bytes):
     return header, heads, ticks, counts
 
 
-# The frame rules, stated once: encode runs them on the arrays it is about to
-# pack, decode and tracks_from_stream on the arrays read from the bytes.
+# The frame rules, stated once and run on bytes only: decode and
+# tracks_from_stream on the bytes they read, encode on the bytes it writes.
 
 def _check_heads(heads: np.ndarray, ticks: np.ndarray, counts: np.ndarray) -> None:
     """A stream has frames, the first is a tick-0 keyframe and ticks strictly
     increase; the first break in stream order is raised. Entities are
-    declared and unique per frame (:func:`_check_updates`), so a keyframe of
+    declared and unique per frame (:func:`_update_arrays`), so a keyframe of
     ten updates covers all ten entities."""
     if not heads.size:
         raise StreamFormatError("stream contains no frames", offset=HEADER_SIZE)
@@ -319,12 +305,13 @@ def _check_heads(heads: np.ndarray, ticks: np.ndarray, counts: np.ndarray) -> No
         )
 
 
-def _check_updates(header: StreamHeader, heads: np.ndarray, counts: np.ndarray,
-                   upd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every entity is declared in the header and unique within its frame,
-    every cell is on the grid and every offset finite. Returns each
-    update's header slot and frame index. An error names the first update
-    byte of the first frame that breaks the rule."""
+def _update_arrays(data, header, heads, ticks, counts):
+    """Every update of a scanned stream as one UPDATE_DTYPE array, with its
+    tick and header slot. Every entity is declared in the header and unique
+    within its frame, every cell is on the grid and every offset finite; an
+    error names the first update byte of the first frame that breaks the
+    rule."""
+    upd = np.frombuffer(data, dtype=np.uint8)[_update_mask(len(data), heads)].view(UPDATE_DTYPE)
     frame = np.repeat(np.arange(heads.size), counts)
 
     def at(f) -> int:
@@ -353,14 +340,6 @@ def _check_updates(header: StreamHeader, heads: np.ndarray, counts: np.ndarray,
         raise StreamFormatError(
             "duplicate entity within a frame", offset=at(np.argmax(repeated) // PLAYER_COUNT)
         )
-    return slot, frame
-
-
-def _update_arrays(data, header, heads, ticks, counts):
-    """Every update of a scanned stream as one UPDATE_DTYPE array, checked,
-    with its tick and header slot."""
-    upd = np.frombuffer(data, dtype=np.uint8)[_update_mask(len(data), heads)].view(UPDATE_DTYPE)
-    slot, frame = _check_updates(header, heads, counts, upd)
     return upd, ticks[frame], slot
 
 
@@ -373,11 +352,13 @@ def stream_summary(data: bytes) -> tuple[StreamHeader, int]:
 def decode(data: bytes) -> tuple[StreamHeader, tuple[Frame, ...]]:
     """Parse DTL2 bytes back into header and frames (inverse of encode).
 
-    Rejects bad magic, unsupported versions, truncation, a first frame that
-    is not the tick-0 keyframe of all ten entities, non-increasing ticks,
-    unknown entities, duplicate entities within a frame, out-of-range cells,
-    non-finite offsets and trailing garbage, naming the offending byte
-    offset where it is meaningful.
+    Rejects bad magic, unsupported versions, a player count other than ten,
+    a zero tick interval, bad team bytes, duplicate header entities,
+    truncation, a first frame that is not the tick-0 keyframe of all ten
+    entities, non-increasing ticks, unknown entities, duplicate entities
+    within a frame, out-of-range cells, non-finite offsets and trailing
+    garbage, naming the offending byte offset where it is meaningful.
+    :func:`encode` runs these same checks on the bytes it writes.
     """
     header, heads, ticks, counts = _scan(data)
     upd, _, _ = _update_arrays(data, header, heads, ticks, counts)

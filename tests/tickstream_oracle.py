@@ -37,7 +37,6 @@ from teamtrace.tickstream import (
     PlayerSlot,
     StreamFormatError,
     StreamHeader,
-    _check_header,
     _pack_header,
     tick_for_second,
     tick_to_second,
@@ -65,7 +64,6 @@ def _pack_frames(
     back to back; ``counts[i]`` updates belong to the frame at ``ticks[i]``.
     Produces bytes identical to :func:`encode` on equivalent input.
     """
-    _check_header(header)
     chunks = [_pack_header(header)]
     raw = updates.tobytes()
     pos = 0
@@ -111,7 +109,7 @@ def _scan(data: bytes):
         seen.add(entity_id)
         slots.append(PlayerSlot(entity_id, Team(team_byte), player_id))
         off += _SLOT.size
-    header = StreamHeader(match_id, tuple(slots), interval, version)
+    header = StreamHeader(match_id, tuple(slots), interval)
 
     ticks: list[int] = []
     counts: list[int] = []
