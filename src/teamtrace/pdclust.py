@@ -440,11 +440,7 @@ def fanny(
                 else:
                     row[a.index(amin)] = 1.0
             else:
-                starved = math.inf in a
-                a = np.array(a)
-                w = (amin / a) ** sharp
-                if starved:
-                    w = np.where(np.isfinite(a), w, 0.0)
+                w = (amin / np.array(a)) ** sharp  # a starved cluster's weight is 0.0
                 row = w / w.sum()
             delta_col = (row**r - powers[i])[:, None]
             delta = delta_col[:, 0].tolist()
