@@ -189,6 +189,7 @@ def moving_average(series, window_s: int = 1) -> np.ndarray:
     if window_s < 1:
         raise ValueError("window must be at least 1 second")
     v = np.asarray(series, dtype=np.float64)
+    window_s = min(window_s, v.size)  # any longer window averages from the start
     c = np.concatenate(([0.0], np.cumsum(v)))
     t = np.arange(v.size)
     lo = np.maximum(t - window_s + 1, 0)

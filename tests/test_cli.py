@@ -265,6 +265,15 @@ class TestAnalysisCommands:
         )
         assert not out.exists()
 
+    def test_phases_window_past_the_match_is_whole_match_mean(self, workspace, tmp_path):
+        # a window wider than int64 still averages from each series' start
+        args = ["phases", "--trajectories", str(workspace / "traj"),
+                "--meta", str(workspace / "streams" / "matches.csv")]
+        for window in ("100000000000000000000", "151"):  # the matches span 151 seconds
+            assert main([*args, "--window", window, "-o", str(tmp_path / window)]) == EXIT_OK
+        assert ((tmp_path / "151" / "phase_aggregates.csv").read_bytes()
+                == (tmp_path / "100000000000000000000" / "phase_aggregates.csv").read_bytes())
+
     def test_phases_covers_all_three_game_phases(self, tmp_path):
         streams, traj, out = tmp_path / "st", tmp_path / "tr", tmp_path / "out"
         assert main(["synth", "--matches", "1", "--duration", "1900", "--seed", "6",

@@ -16,7 +16,7 @@ from teamtrace.cli import build_parser, main
 from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT, default_zone_map
 from teamtrace.zonemap import render_zone_map
 
-INTS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "12", "x", "1.5", ""])
+INTS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "12", str(2**70), "x", "1.5", ""])
 VALUES = {
     "min-dwell": INTS,
     "window": INTS,

@@ -287,6 +287,10 @@ class TestMovingAverage:
         with pytest.raises(ValueError):
             moving_average([1.0], 0)
 
+    def test_window_past_the_series_is_the_series_length(self):
+        v = [3.0, 1.0, 4.0, 1.0, 5.0]
+        assert np.array_equal(moving_average(v, 2**70), moving_average(v, len(v)))
+
 
 def _ls(values, tier=SkillTier.NORMAL, won=True, match_id=1, team=Team.RADIANT):
     return LabeledSeries(DistanceSeries(match_id, team, np.asarray(values, float)), tier, won)
