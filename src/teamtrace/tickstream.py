@@ -162,7 +162,9 @@ def encode(header: StreamHeader, frames: Iterable[Frame]) -> bytes:
     to :func:`decode`'s own checks, so ``encode`` rejects exactly what
     ``decode`` would, with the same message and byte offset.
     """
-    _pack_header(header)  # header errors first, as in stream order
+    # only to raise header errors before frame errors, as in stream order;
+    # the bytes are dropped and _pack_frames packs the header again
+    _pack_header(header)
     frames = list(frames)
     for fits, problem in (
         (lambda f: _fits(f.tick, 32), "tick out of uint32 range"),

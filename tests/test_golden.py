@@ -79,20 +79,20 @@ def _wide_stages(root: Path):
 
 
 def run_batch(root: Path) -> dict[str, str]:
-    """Run every stage into its own directory; map each output file's path
-    relative to ``root`` to its sha256."""
-    _write_inputs(root / "inputs")
-    digests = {}
+    """Run every stage into its own directory; map relative path -> sha256
+    for every file under ``root`` except the inputs the batch writes first."""
+    inputs = root / "inputs"
+    _write_inputs(inputs)
     for stages in (_stages, _wide_stages):
         for out, argv in stages(root):
             code = main([*argv, "-o", str(root / out)])
             if code != EXIT_OK:
                 raise RuntimeError(f"{argv[0]} exited {code}")
-            digests.update(
-                (path.relative_to(root).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
-                for path in (root / out).iterdir()
-            )
-    return digests
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and inputs not in path.parents
+    }
 
 
 def format_manifest(digests: dict[str, str]) -> str:
