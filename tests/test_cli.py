@@ -477,15 +477,35 @@ class TestAnalysisCommands:
         assert main([command, "--trajectories", str(ragged), "-o", str(tmp_path)]) == EXIT_DATA
         assert "different track lengths" in capsys.readouterr().err
 
-    def test_lineup_short_of_ten_is_data_error(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["zones", "distance", "heatmap", "zonemap-draft"])
+    def test_lineup_short_of_ten_is_data_error(self, workspace, tmp_path, capsys, command):
         lines = (workspace / "traj" / "1.csv").read_text().splitlines(keepends=True)
         nine = tmp_path / "nine.csv"
         nine.write_text("".join(lines[: 1 + 9 * 151]))
+        meta = ["--meta", str(workspace / "streams" / "matches.csv")] if command == "zones" else []
         assert main([
-            "zones", "--trajectories", str(nine),
-            "--meta", str(workspace / "streams" / "matches.csv"), "-o", str(tmp_path),
+            command, "--trajectories", str(nine), *meta, "-o", str(tmp_path),
         ]) == EXIT_DATA
         assert "10 players" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "zones", "distance", "phases", "anova", "cluster", "heatmap", "zonemap-draft",
+    ])
+    def test_match_in_two_files_is_one_line_data_error(self, workspace, tmp_path, capsys,
+                                                       command):
+        traj = tmp_path / "traj"
+        traj.mkdir()
+        for path in (workspace / "traj").glob("*.csv"):
+            (traj / path.name).write_bytes(path.read_bytes())
+        (traj / "1_copy.csv").write_bytes((traj / "1.csv").read_bytes())
+        meta = [] if command in ("distance", "heatmap", "zonemap-draft") else [
+            "--meta", str(workspace / "streams" / "matches.csv")]
+        out = tmp_path / "out"
+        assert main([command, "--trajectories", str(traj), *meta, "-o", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(traj / "1.csv") in err and str(traj / "1_copy.csv") in err
+        assert not out.exists()
 
     def test_heatmap_empty_input_is_data_error(self, tmp_path):
         empty = tmp_path / "none"
