@@ -232,10 +232,10 @@ def _parse_header(data: bytes) -> StreamHeader:
         raise StreamFormatError(f"bad magic {magic!r}", offset=0)
     if version != FORMAT_VERSION:
         raise StreamFormatError(f"unsupported version {version}", offset=4)
-    if player_count != PLAYER_COUNT:
-        raise StreamFormatError(f"player_count {player_count} != {PLAYER_COUNT}", offset=16)
     if interval < 1:
         raise StreamFormatError("tick_interval_ms must be positive", offset=14)
+    if player_count != PLAYER_COUNT:
+        raise StreamFormatError(f"player_count {player_count} != {PLAYER_COUNT}", offset=16)
     if len(data) < HEADER_SIZE:
         raise StreamFormatError("truncated player table", offset=len(data))
 

@@ -174,6 +174,13 @@ class TestDecode:
         with pytest.raises(StreamFormatError, match="version"):
             decode(bytes(data))
 
+    def test_header_names_its_first_bad_field(self):
+        # tick_interval_ms (byte 14) comes before player_count (byte 16)
+        header = StreamHeader(7, make_header().players[:9], 0)
+        with pytest.raises(StreamFormatError, match="tick_interval_ms") as exc:
+            decode(pack_by_hand(header, [keyframe()]))
+        assert exc.value.offset == 14
+
     def test_truncation_names_byte_offset(self):
         data = encode(make_header(), [keyframe()])
         cut = len(data) - 5  # mid-update
