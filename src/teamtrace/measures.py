@@ -11,7 +11,6 @@ All functions are pure; matches can be processed concurrently.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -231,14 +230,13 @@ def aggregate_by_category(
 
 def write_zone_changes_csv(out: TextIO, rows: Iterable[tuple]) -> None:
     """Rows: (match_id, player_id, team, tier, win: bool, changes, rate)."""
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(ZONE_CHANGE_COLUMNS)
-    for match_id, player_id, team, tier, win, changes, rate in rows:
-        w.writerow((match_id, player_id, str(team), str(tier), int(win), changes, repr(rate)))
+    out.write(",".join(ZONE_CHANGE_COLUMNS) + "\n")
+    out.write("".join([
+        f"{match_id},{player_id},{team!s},{tier!s},{int(win)},{changes},{rate!r}\n"
+        for match_id, player_id, team, tier, win, changes, rate in rows
+    ]))
 
 
-# The distance and aggregate writers format lines directly: their fields
-# (ints, enum names, float reprs) never need CSV quoting.
 def write_distance_csv(out: TextIO, series_set: Iterable[DistanceSeries]) -> None:
     out.write(",".join(DISTANCE_COLUMNS) + "\n")
     for s in series_set:
