@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -96,50 +96,50 @@ def _read(path, reader):
         raise DataError(f"{path}: {e}") from None
 
 
-def _read_tracks(path: Path):
-    """(match_id, players, cells) of one trajectory CSV."""
-    from . import tickstream
-    return _read(path, tickstream.read_trajectory_csv)
-
-
 def _read_meta(path: str) -> dict[int, synth.MatchMeta]:
     from . import synth
     return _read(path, synth.read_metadata_csv)
 
 
 class _Match(NamedTuple):
-    """One trajectory file joined with its metadata row."""
+    """One trajectory file, with its metadata row if the command takes --meta."""
 
     match_id: int
-    tier: SkillTier
-    winner: Team
     players: tuple[tuple[Team, int], ...]  # (team, player_id) per cells row
     cells: np.ndarray  # (10, T+1, 2) uint8
+    tier: SkillTier | None = None
+    winner: Team | None = None
 
 
-def _load_labeled_matches(args) -> list[_Match]:
-    meta = _read_meta(args.meta)
+def _load_matches(args) -> list[_Match]:
+    """Each trajectory file read once as one full-lineup match, by match id."""
+    from . import tickstream
+    meta = _read_meta(args.meta) if "meta" in args else None
+    source: dict[int, Path] = {}
     matches = []
     for path in _trajectory_files(args.trajectories):
-        match_id, players, cells = _read_tracks(path)
-        if match_id not in meta:
-            raise DataError(f"{path}: match {match_id} missing from metadata")
+        match_id, players, cells = _read(path, tickstream.read_trajectory_csv)
         try:
             check_lineup([team for team, _ in players])
         except ValueError as e:
             raise DataError(f"{path}: {e}") from None
-        m = meta[match_id]
-        matches.append(_Match(match_id, m.tier, m.winner, players, cells))
-    matches.sort(key=lambda m: m.match_id)
-    return matches
+        if match_id in source:
+            raise DataError(f"{path}: match {match_id} already read from {source[match_id]}")
+        source[match_id] = path
+        if meta is not None and match_id not in meta:
+            raise DataError(f"{path}: match {match_id} missing from metadata")
+        label = (meta[match_id].tier, meta[match_id].winner) if meta is not None else ()
+        matches.append(_Match(match_id, players, cells, *label))
+    return sorted(matches, key=lambda m: m.match_id)
 
 
-def _team_series(match_id: int, players, cells: np.ndarray) -> list[measures.DistanceSeries]:
+def _team_series(match: _Match) -> list[measures.DistanceSeries]:
     """One distance series per team, Radiant first."""
     from . import measures
-    teams = np.array([team.value for team, _ in players])
+    teams = np.array([team.value for team, _ in match.players])
     return [
-        measures.DistanceSeries(match_id, team, measures.distance_values(cells[teams == team.value]))
+        measures.DistanceSeries(
+            match.match_id, team, measures.distance_values(match.cells[teams == team.value]))
         for team in Team
     ]
 
@@ -154,13 +154,12 @@ def _player_stats(match: _Match, zmap: ZoneMap, min_dwell_s: int):
     ]
 
 
-def _occupancy(paths: Iterable[Path], start: int = 0, end: int | None = None) -> np.ndarray:
+def _occupancy(matches: Iterable[_Match], start: int = 0, end: int | None = None) -> np.ndarray:
     """128x128 grid of player-seconds per cell over seconds start..end."""
     grid = np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int64)
     stop = None if end is None else end + 1
-    for path in paths:
-        _, _, cells = _read_tracks(path)
-        window = cells[:, start:stop]
+    for match in matches:
+        window = match.cells[:, start:stop]
         np.add.at(grid, (window[..., 0], window[..., 1]), 1)
     return grid
 
@@ -216,7 +215,7 @@ def cmd_zones(args) -> int:
     from . import measures
     zmap = _load_zone_map(args)
     rows = []
-    for match in _load_labeled_matches(args):
+    for match in _load_matches(args):
         for team, st in _player_stats(match, zmap, args.min_dwell):
             rows.append(
                 (
@@ -241,7 +240,7 @@ def _series_for(matches: Iterable[_Match], window: int = 1) -> list[measures.Lab
     from . import measures
     labeled = []
     for match in matches:
-        for s in _team_series(match.match_id, match.players, match.cells):
+        for s in _team_series(match):
             # moving_average(v, 1) is not bit-identical to v
             if window > 1:
                 values = measures.moving_average(s.values, window)
@@ -252,14 +251,7 @@ def _series_for(matches: Iterable[_Match], window: int = 1) -> list[measures.Lab
 
 def cmd_distance(args) -> int:
     from . import measures
-    series = []
-    for path in _trajectory_files(args.trajectories):
-        match_id, players, cells = _read_tracks(path)
-        for team in Team:
-            if sum(1 for t, _ in players if t is team) < 2:
-                raise DataError(f"{path}: team {team} has fewer than 2 tracks")
-        series.extend(_team_series(match_id, players, cells))
-    series.sort(key=lambda s: (s.match_id, s.team.value))
+    series = [s for match in _load_matches(args) for s in _team_series(match)]
     out = _out_dir(args)
     with open(out / "distance_series.csv", "w") as f:
         measures.write_distance_csv(f, series)
@@ -268,7 +260,7 @@ def cmd_distance(args) -> int:
 
 def cmd_phases(args) -> int:
     from . import measures
-    labeled = _series_for(_load_labeled_matches(args), args.window)
+    labeled = _series_for(_load_matches(args), args.window)
     rows = []
     for tier in SkillTier:
         for won in (True, False):
@@ -291,11 +283,11 @@ def cmd_anova(args) -> int:
 
     # (measure, tier, won, value): a zone-change rate per player, a mean distance per team
     samples = []
-    for match in _load_labeled_matches(args):
+    for match in _load_matches(args):
         samples += [("zone_change_rate", match.tier, team is match.winner, st.rate_per_min)
                     for team, st in _player_stats(match, zmap, args.min_dwell)]
         samples += [("team_distance", match.tier, s.team is match.winner, float(s.values.mean()))
-                    for s in _team_series(match.match_id, match.players, match.cells)]
+                    for s in _team_series(match)]
 
     rows = []
     for factor, at, levels in (("tier", 1, tuple(SkillTier)), ("outcome", 2, (True, False))):
@@ -328,7 +320,7 @@ def cmd_anova(args) -> int:
 
 def cmd_cluster(args) -> int:
     from . import pdclust
-    labeled = _series_for(_load_labeled_matches(args))
+    labeled = _series_for(_load_matches(args))
     series = [ls.series.values for ls in labeled]
     ids = [f"{ls.series.match_id}:{ls.series.team}" for ls in labeled]
     facet_labels = [(ls.tier, ls.won) for ls in labeled]
@@ -362,17 +354,7 @@ def cmd_cluster(args) -> int:
             "pam_average": sil_pam.average,
             "pam_medoids": list(fuzzy.start.medoids),
         },
-        "clusters": [
-            {
-                "cluster": c.cluster,
-                "size": c.size,
-                "mean_of_series_means": c.mean_of_series_means,
-                "variance_of_series_means": c.variance_of_series_means,
-                "mean_duration_s": c.mean_duration_s,
-                "facets": c.facets,
-            }
-            for c in report.clusters
-        ],
+        "clusters": [asdict(c) for c in report.clusters],
     }
     _write_json(out / "clusters.json", doc)
     return EXIT_OK
@@ -381,7 +363,7 @@ def cmd_cluster(args) -> int:
 def cmd_heatmap(args) -> int:
     if args.end is not None and args.end < args.start:
         raise UsageError("--end must not precede --start")
-    grid = _occupancy(_trajectory_files(args.trajectories), args.start, args.end)
+    grid = _occupancy(_load_matches(args), args.start, args.end)
     if not grid.any():
         raise DataError("no positions to map")
 
@@ -436,7 +418,7 @@ def cmd_synth(args) -> int:
 def cmd_zonemap_draft(args) -> int:
     from .defaultmap import DEFAULT_LEGEND
     legend = parse_legend(Path(args.legend).read_text()) if args.legend else DEFAULT_LEGEND
-    visits = _occupancy(_trajectory_files(args.trajectories))
+    visits = _occupancy(_load_matches(args))
     draft = draft_zone_map(visits, legend, args.provisional)
     out = _out_dir(args)
     (out / "draft_map.ppm").write_bytes(render_zone_map(draft))
@@ -638,10 +620,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as e:
         print(f"teamtrace: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as e:
-        print(f"teamtrace: error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, OSError) as e:
+    except (DataError, ValueError, OSError) as e:
         print(f"teamtrace: error: {e}", file=sys.stderr)
         return EXIT_DATA
 
