@@ -393,8 +393,6 @@ def cmd_synth(args) -> int:
     regimes = args.regime or list(_DEFAULT_REGIMES)
     if args.first_id + len(regimes) * args.matches > 1 << 64:  # match ids are uint64
         raise UsageError(f"--first-id {args.first_id} puts the last match id past 2**64 - 1")
-    if args.duration > MAX_DURATION_S:
-        raise UsageError(f"--duration {args.duration} exceeds the {MAX_DURATION_S} s limit")
     zmap = _load_zone_map(args)
 
     out = _out_dir(args)
@@ -584,7 +582,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub.add_parser("synth", help="generate synthetic matches")
     p.add_argument("--matches", type=_int_at_least(1, most=MAX_SYNTH_MATCHES), default=5,
                    help="matches per regime")
-    p.add_argument("--duration", type=_int_at_least(1), default=900, help="match length, seconds")
+    p.add_argument("--duration", type=_int_at_least(1, most=MAX_DURATION_S), default=900,
+                   help="match length, seconds")
     p.add_argument("--seed", type=_int_at_least(0), default=cfg.seed)
     p.add_argument("--first-id", type=_int_at_least(0), default=1, help="first match id")
     p.add_argument("--regime", action="append", type=_regime,

@@ -114,7 +114,7 @@ class TestSynthAndIngest:
         out = tmp_path / "o"
         assert main(["synth", "--duration", str(duration), "-o", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            f"teamtrace: error: --duration {duration} exceeds the 86400 s limit\n"
+            f"teamtrace synth: error: argument --duration: must be at most 86400, got {duration}\n"
         )
         assert not out.exists()
 
