@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -494,9 +495,7 @@ class TestAnalysisCommands:
     def test_match_in_two_files_is_one_line_data_error(self, workspace, tmp_path, capsys,
                                                        command):
         traj = tmp_path / "traj"
-        traj.mkdir()
-        for path in (workspace / "traj").glob("*.csv"):
-            (traj / path.name).write_bytes(path.read_bytes())
+        shutil.copytree(workspace / "traj", traj)
         (traj / "1_copy.csv").write_bytes((traj / "1.csv").read_bytes())
         meta = [] if command in ("distance", "heatmap", "zonemap-draft") else [
             "--meta", str(workspace / "streams" / "matches.csv")]
