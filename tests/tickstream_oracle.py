@@ -8,9 +8,10 @@ serializer and the synthetic generator with scalar zone and reference
 draws and a per-zone projection. The library computes the same bytes and
 raises the same errors with array passes; the tests in
 ``test_tickstream_oracle.py`` require equality, so every function here
-must stay exactly as written. The one deliberate change since the oracles
-were taken is the keyframe rule in ``_scan``: the first frame is at tick 0
-and carries all ten entities.
+must stay exactly as written. Two deliberate changes were made to ``_scan``
+since the oracles were taken: the keyframe rule (the first frame is at
+tick 0 and carries all ten entities), and the header checks in byte order
+(the tick interval at byte 14 before the player count at byte 16).
 """
 from __future__ import annotations
 
