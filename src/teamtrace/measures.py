@@ -228,6 +228,8 @@ def aggregate_by_category(
     return rows
 
 
+# The writers format lines directly: their fields (ints, enum names, float
+# reprs) never need CSV quoting.
 def write_zone_changes_csv(out: TextIO, rows: Iterable[tuple]) -> None:
     """Rows: (match_id, player_id, team, tier, win: bool, changes, rate)."""
     out.write(",".join(ZONE_CHANGE_COLUMNS) + "\n")
