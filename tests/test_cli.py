@@ -12,6 +12,7 @@ import pytest
 import teamtrace
 from teamtrace import tickstream
 from teamtrace.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from teamtrace.core import Team
 from genstreams import make_header
 from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT
 from teamtrace.synth import read_metadata_csv
@@ -216,6 +217,15 @@ class TestSynthAndIngest:
         bad.write_text("match_id,team,player_id,t,x,y\n1,Radiant,100,0,5,5\n1,Radiant,100,7,5,5\n")
         assert main(["distance", "--trajectories", str(bad), "-o", str(tmp_path)]) == EXIT_DATA
         assert "non-contiguous" in capsys.readouterr().err
+
+    # a team field is read as 16 bytes: a longer one must not be cut to a valid name
+    @pytest.mark.parametrize("team", ["Radiant" + " " * 9 + "x", "Radi\u20acnt"])
+    def test_bad_team_name_is_one_line_data_error(self, tmp_path, capsys, team):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"match_id,team,player_id,t,x,y\n1,{team},100,0,5,5\n", encoding="utf-8")
+        assert main(["distance", "--trajectories", str(bad), "-o", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"teamtrace: error: {bad}: ") and err.count("\n") == 1
 
 
 class TestAnalysisCommands:
@@ -532,6 +542,8 @@ _LOADED_MODULES = (
 )
 _CLUSTERING_AND_STATS = {"teamtrace.pdclust", "teamtrace.stats"}
 _NOT_FOR_GRID_COMMANDS = _CLUSTERING_AND_STATS | {"teamtrace.synth", "concurrent.futures.process"}
+# a plain np.unique imports numpy.ma (about 12 ms on numpy 2.4)
+_NOT_FOR_CLUSTER = {"teamtrace.synth", "numpy.ma"}
 
 
 class TestStartup:
@@ -539,7 +551,9 @@ class TestStartup:
         ("--help", "teamtrace.cli", _NOT_FOR_GRID_COMMANDS),
         ("heatmap --trajectories {traj} -o {out}", "teamtrace.tickstream", _NOT_FOR_GRID_COMMANDS),
         ("zones --trajectories {traj} --meta {meta} -o {out}", "teamtrace.measures",
-         _CLUSTERING_AND_STATS),
+         _NOT_FOR_GRID_COMMANDS),
+        ("cluster --trajectories {traj} --meta {meta} -o {out}", "teamtrace.pdclust",
+         _NOT_FOR_CLUSTER),
     ])
     def test_command_imports_only_the_layers_it_runs(
         self, workspace, tmp_path, argv, loaded, absent
@@ -559,6 +573,20 @@ class TestStartup:
         modules = set(listing.read_text().splitlines())
         assert loaded in modules
         assert sorted(modules & absent) == []
+
+    def test_reader_parses_each_run_of_team_spellings_once(self, workspace, tmp_path,
+                                                           monkeypatch):
+        lines = (workspace / "traj" / "1.csv").read_text().splitlines(keepends=True)
+        blocks = [lines[1 + 151 * i : 1 + 151 * (i + 1)] for i in range(10)]
+        alternating = tmp_path / "alternating.csv"  # one block per player, sides alternating
+        alternating.write_text("".join(lines[:1] + [row for i in (0, 5, 1, 6, 2, 7, 3, 8, 4, 9)
+                                                    for row in blocks[i]]))
+        parse, calls = Team.parse, []
+        monkeypatch.setattr(Team, "parse", lambda text: calls.append(text) or parse(text))
+        with open(alternating) as f:
+            _, players, _ = tickstream.read_trajectory_csv(f)
+        assert calls == ["Radiant", "Dire"] * 5
+        assert [team for team, _ in players] == [Team.RADIANT, Team.DIRE] * 5
 
 
 class TestConfigFile:

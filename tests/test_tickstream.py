@@ -490,6 +490,8 @@ class TestTrajectoryCsv:
           "1,Dire,101,0,5,5", "1,Dire,101,1,5,5", "1,Dire,101,2,5,5",
           "1,Radiant,100,4,5,5", "1,Radiant,100,5,5,5"),
          "non-contiguous timestamps for player 100"),
+        (("1,Radiant         x,100,0,5,5",), "longer than 15 bytes"),  # not cut to 16 bytes
+        (("1,Radi\u20acnt,100,0,5,5",), "Radi\u20acnt"),
     ])
     def test_malformed_rows_rejected(self, rows, message):
         with pytest.raises(ValueError, match=message):
