@@ -96,9 +96,9 @@ def _read(path, reader):
         raise DataError(f"{path}: {e}") from None
 
 
-def _read_meta(path: str) -> dict[int, synth.MatchMeta]:
-    from . import synth
-    return _read(path, synth.read_metadata_csv)
+def _read_meta(path: str) -> dict[int, tickstream.MatchMeta]:
+    from . import tickstream
+    return _read(path, tickstream.read_metadata_csv)
 
 
 class _Match(NamedTuple):

@@ -12,6 +12,8 @@ All functions are pure; matches can be processed concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -220,12 +222,9 @@ def aggregate_by_category(
             stack[i, : len(chunk)] = chunk
     counts = (~np.isnan(stack)).sum(axis=0)
     sums = np.nansum(stack, axis=0)
-    rows = []
-    for off in range(width):
-        n = int(counts[off])
-        if n:
-            rows.append((int(start) + off, float(sums[off] / n), n))
-    return rows
+    offs = np.flatnonzero(counts)
+    n = counts[offs]
+    return list(zip((offs + int(start)).tolist(), (sums[offs] / n).tolist(), n.tolist()))
 
 
 # The writers format lines directly: their fields (ints, enum names, float
@@ -249,7 +248,7 @@ def write_distance_csv(out: TextIO, series_set: Iterable[DistanceSeries]) -> Non
 def write_aggregate_csv(out: TextIO, rows: Iterable[tuple]) -> None:
     """Rows: (tier, outcome: bool, phase, t, mean_d, n_matches)."""
     out.write(",".join(AGGREGATE_COLUMNS) + "\n")
-    out.write("".join([
-        f"{tier!s},{'win' if won else 'loss'},{phase!s},{t},{mean_d!r},{n}\n"
-        for tier, won, phase, t, mean_d, n in rows
-    ]))
+    # a category's rows come in one run: its names are formatted once
+    for (tier, won, phase), run in groupby(rows, key=itemgetter(0, 1, 2)):
+        prefix = f"{tier!s},{'win' if won else 'loss'},{phase!s},"
+        out.write("".join([f"{prefix}{t},{mean_d!r},{n}\n" for _, _, _, t, mean_d, n in run]))

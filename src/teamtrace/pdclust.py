@@ -489,14 +489,14 @@ def silhouette(matrix, assignment) -> SilhouetteResult:
     labels = np.asarray(assignment)
     if labels.shape != (d.shape[0],):
         raise ValueError("assignment length does not match matrix size")
-    clusters = np.unique(labels)
+    # a plain np.unique imports numpy.ma on numpy 2.4; return_inverse does not
+    clusters, own = np.unique(labels, return_inverse=True)
     if clusters.size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
 
     onehot = (labels[:, None] == clusters[None, :]).astype(np.float64)
     sizes = onehot.sum(axis=0)
     totals = d @ onehot  # totals[i, c] = sum of d(i, members of c)
-    own = np.searchsorted(clusters, labels)
 
     points = np.arange(d.shape[0])
     own_size = sizes[own]
@@ -544,13 +544,11 @@ def cluster_report(
     if labels is not None and len(labels) != len(values):
         raise ValueError("labels length does not match series count")
 
+    clusters = sorted(set(crisp.tolist()))
     # a single cluster has no silhouette; report 0 rather than failing
-    if np.unique(crisp).size >= 2:
-        avg_sil = silhouette(matrix, crisp).average
-    else:
-        avg_sil = 0.0
+    avg_sil = silhouette(matrix, crisp).average if len(clusters) >= 2 else 0.0
     summaries = []
-    for c in np.unique(crisp).tolist():
+    for c in clusters:
         members = np.flatnonzero(crisp == c)
         means = np.array([values[i].mean() for i in members])
         durations = np.array([values[i].size - 1 for i in members], dtype=np.float64)

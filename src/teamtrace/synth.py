@@ -11,21 +11,23 @@ fidelity to real play is claimed.
 """
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
-from typing import Iterable, TextIO
 
 import numpy as np
 
 from .core import DEFAULT_MIN_DWELL_S, GRID_SIZE, SkillTier, Team
+# read_/write_metadata_csv are kept importable from here; they live in tickstream
 from .tickstream import (
     PLAYER_COUNT,
+    MatchMeta,
     PlayerSlot,
     StreamHeader,
     UPDATE_DTYPE,
     _pack_frames,
+    read_metadata_csv,
     tick_for_second,
+    write_metadata_csv,
 )
 from .zonemap import _LABEL_INDEX, ZoneLabel, ZoneMap
 
@@ -35,8 +37,6 @@ _TARGET_ZONES = (
     ZoneLabel.BOTTOM_LANE,
     ZoneLabel.JUNGLE,
 )
-
-METADATA_COLUMNS = ("match_id", "tier", "winner", "duration_s")
 
 # Widest planted dispersion, in cells: past a few grid widths the zone cells
 # nearest each proposal stop changing, and far wider sigmas overflow the scores.
@@ -63,14 +63,6 @@ class RegimeParams:
             )
         if self.match_len_s < 1:
             raise ValueError("match_len_s must be positive")
-
-
-@dataclass(frozen=True)
-class MatchMeta:
-    match_id: int
-    tier: SkillTier
-    winner: Team
-    duration_s: int
 
 
 # Anchor candidates per zone are capped so the per-event nearest-cell
@@ -260,32 +252,3 @@ def generate_match(
 
     stream = _pack_frames(header, ticks, counts, updates)
     return stream, MatchMeta(match_id, tier, winner, duration)
-
-
-def write_metadata_csv(out: TextIO, metas: Iterable[MatchMeta]) -> None:
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(METADATA_COLUMNS)
-    for m in metas:
-        w.writerow((m.match_id, str(m.tier), str(m.winner), m.duration_s))
-
-
-def read_metadata_csv(inp: TextIO) -> dict[int, MatchMeta]:
-    reader = csv.reader(inp)
-    head = next(reader, None)
-    if head is None or tuple(head) != METADATA_COLUMNS:
-        raise ValueError(f"bad metadata header: {head}")
-    out: dict[int, MatchMeta] = {}
-    line_of: dict[int, int] = {}
-    for row in reader:
-        line = reader.line_num
-        if len(row) != len(METADATA_COLUMNS):
-            raise ValueError(f"line {line}: expected {len(METADATA_COLUMNS)} fields, got {len(row)}")
-        mid, tier, winner, dur = row
-        meta = MatchMeta(int(mid), SkillTier.parse(tier), Team.parse(winner), int(dur))
-        if meta.duration_s < 0:
-            raise ValueError(f"line {line}: negative duration_s {meta.duration_s}")
-        first = line_of.setdefault(meta.match_id, line)
-        if first != line:
-            raise ValueError(f"duplicate match id {meta.match_id} on lines {first} and {line}")
-        out[meta.match_id] = meta
-    return out

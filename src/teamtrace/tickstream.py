@@ -39,10 +39,14 @@ a decoded stream reproduces the input bytes exactly.
 
 Decoding and resampling are array passes over the whole stream: the walk
 from one frame head to the next is the only per-frame loop.
+
+The two CSV tables the analysis commands read live here too: the
+per-match trajectory table and the match metadata table
+(``MatchMeta``, ``read_metadata_csv``), so reading ``--meta`` loads no
+generator code.
 """
 from __future__ import annotations
 
-import functools
 import struct
 import warnings
 from dataclasses import dataclass
@@ -52,7 +56,7 @@ from typing import Iterable, Mapping, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import GRID_SIZE, MAX_DURATION_S, Team
+from .core import GRID_SIZE, MAX_DURATION_S, SkillTier, Team
 
 MAGIC = b"DTL2"
 FORMAT_VERSION = 1
@@ -75,9 +79,13 @@ UPDATE_DTYPE = np.dtype(
 )
 
 TRAJECTORY_COLUMNS = ("match_id", "team", "player_id", "t", "x", "y")
+METADATA_COLUMNS = ("match_id", "tier", "winner", "duration_s")
+# team names are read as bytes and parsed once per run of equal spellings;
+# loadtxt cuts a longer field short, so one that fills the width is rejected
+_TEAM_BYTES = 16
 # cells stay int64 until range-checked so out-of-grid values cannot wrap
 _TRAJECTORY_ROW = np.dtype(
-    [("match_id", "<u8"), ("team", "<i8"), ("player_id", "<i8"),
+    [("match_id", "<u8"), ("team", f"S{_TEAM_BYTES}"), ("player_id", "<i8"),
      ("t", "<i8"), ("x", "<i8"), ("y", "<i8")]
 )
 
@@ -97,6 +105,14 @@ class PlayerSlot(NamedTuple):
     entity_id: int
     team: Team
     player_id: int
+
+
+@dataclass(frozen=True)
+class MatchMeta:
+    match_id: int
+    tier: SkillTier
+    winner: Team
+    duration_s: int
 
 
 @dataclass(frozen=True)
@@ -412,10 +428,11 @@ def write_trajectory_csv(header: StreamHeader, cells: np.ndarray, out: TextIO) -
         out.write("".join(f"{prefix}{t},{x},{y}\n" for t, (x, y) in enumerate(track.tolist())))
 
 
-@functools.lru_cache(maxsize=16)
-def _team_value(text: str) -> int:
-    # cached: a file repeats the same two spellings on every row
-    return Team.parse(text).value
+def _team_value(name: bytes) -> int:
+    if len(name) == _TEAM_BYTES:
+        raise ValueError(f"team name {name.decode('latin-1')!r}... longer than "
+                         f"{_TEAM_BYTES - 1} bytes")
+    return Team.parse(name.decode("latin-1")).value
 
 
 def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...], np.ndarray]:
@@ -425,19 +442,22 @@ def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...],
     player_id) slot table in order of first appearance and ``cells`` the
     (n, T+1, 2) uint8 array in that order. The file must hold one match
     id, and every player exactly the rows t = 0..T, in file order, with
-    cells on the grid.
+    cells on the grid. A team name may take any case and surrounding
+    whitespace, in at most 15 bytes; it is parsed once per run of rows
+    that spell it the same way.
     """
     head = inp.readline().rstrip("\r\n").split(",")
     if tuple(head) != TRAJECTORY_COLUMNS:
         raise ValueError(f"bad trajectory header: {head}")
     with warnings.catch_warnings():  # a header-only file is reported below
         warnings.simplefilter("ignore", UserWarning)
-        rows = np.loadtxt(
-            inp, dtype=_TRAJECTORY_ROW, delimiter=",", comments=None, ndmin=1,
-            converters={1: _team_value},
-        )
+        rows = np.loadtxt(inp, dtype=_TRAJECTORY_ROW, delimiter=",", comments=None, ndmin=1)
     if rows.size == 0:
         raise ValueError("empty trajectory file")
+    names = rows["team"]
+    runs = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
+    team = np.repeat([_team_value(name) for name in names[runs].tolist()],
+                     np.diff(np.r_[runs, rows.size]))
     mids = rows["match_id"]
     mixed = np.flatnonzero(mids != mids[0])
     if mixed.size:
@@ -448,7 +468,7 @@ def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...],
         x, y = xy[np.argmax(off_grid)]
         raise ValueError(f"cell ({x},{y}) outside [0,{GRID_SIZE - 1}]")
 
-    keys = np.stack((rows["team"], rows["player_id"]), axis=-1)
+    keys = np.stack((team, rows["player_id"]), axis=-1)
     # slots are found among run heads (rows whose player differs from the row before)
     heads = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
     slots, first_run, slot_of_run = np.unique(
@@ -471,3 +491,32 @@ def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...],
     cells = xy[by_player].astype(np.uint8).reshape(counts.size, counts[0], 2)
     players = tuple((Team(team), pid) for team, pid in slots[order].tolist())
     return int(mids[0]), players, cells
+
+
+def write_metadata_csv(out: TextIO, metas: Iterable[MatchMeta]) -> None:
+    # every field is an integer or an enum name, so none needs CSV quoting
+    out.write(",".join(METADATA_COLUMNS) + "\n")
+    out.write("".join([f"{m.match_id},{m.tier!s},{m.winner!s},{m.duration_s}\n" for m in metas]))
+
+
+def read_metadata_csv(inp: TextIO) -> dict[int, MatchMeta]:
+    import csv  # only the commands that take --meta pay for it
+    reader = csv.reader(inp)
+    head = next(reader, None)
+    if head is None or tuple(head) != METADATA_COLUMNS:
+        raise ValueError(f"bad metadata header: {head}")
+    out: dict[int, MatchMeta] = {}
+    line_of: dict[int, int] = {}
+    for row in reader:
+        line = reader.line_num
+        if len(row) != len(METADATA_COLUMNS):
+            raise ValueError(f"line {line}: expected {len(METADATA_COLUMNS)} fields, got {len(row)}")
+        mid, tier, winner, dur = row
+        meta = MatchMeta(int(mid), SkillTier.parse(tier), Team.parse(winner), int(dur))
+        if meta.duration_s < 0:
+            raise ValueError(f"line {line}: negative duration_s {meta.duration_s}")
+        first = line_of.setdefault(meta.match_id, line)
+        if first != line:
+            raise ValueError(f"duplicate match id {meta.match_id} on lines {first} and {line}")
+        out[meta.match_id] = meta
+    return out
