@@ -456,8 +456,8 @@ def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...],
         raise ValueError("empty trajectory file")
     names = rows["team"]
     runs = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
-    team = np.repeat([_team_value(name) for name in names[runs].tolist()],
-                     np.diff(np.r_[runs, rows.size]))
+    teams = np.repeat([_team_value(name) for name in names[runs].tolist()],
+                      np.diff(np.r_[runs, rows.size]))
     mids = rows["match_id"]
     mixed = np.flatnonzero(mids != mids[0])
     if mixed.size:
@@ -468,7 +468,7 @@ def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...],
         x, y = xy[np.argmax(off_grid)]
         raise ValueError(f"cell ({x},{y}) outside [0,{GRID_SIZE - 1}]")
 
-    keys = np.stack((team, rows["player_id"]), axis=-1)
+    keys = np.stack((teams, rows["player_id"]), axis=-1)
     # slots are found among run heads (rows whose player differs from the row before)
     heads = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
     slots, first_run, slot_of_run = np.unique(
