@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,18 @@ class TestLoad:
             blob = render(zm)
             again = render(load_zone_map(blob, DEFAULT_LEGEND_TEXT))
             assert again == blob
+
+    def test_peak_memory_is_far_below_a_table_of_every_color(self):
+        # a lookup table over all 2^24 packed colors alone would be 16 MiB
+        blob = render_zone_map(default_zone_map())
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            load_zone_map(blob, DEFAULT_LEGEND_TEXT)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
     def test_truncated_p6_rejected(self):
         blob = render_zone_map(default_zone_map())
