@@ -15,7 +15,7 @@ from teamtrace.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from teamtrace.core import Team
 from genstreams import make_header
 from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT
-from teamtrace.synth import read_metadata_csv
+from teamtrace.tickstream import read_metadata_csv
 from teamtrace.zonemap import load_zone_map
 
 
@@ -466,11 +466,15 @@ class TestAnalysisCommands:
         grid = np.loadtxt(out / "heatmap.csv", delimiter=",", dtype=np.int64)
         assert grid.sum() == 6 * 10 * 10  # matches x players x window seconds
 
-    @pytest.mark.parametrize("window", [["--start", "-5"], ["--start", "-10", "--end", "-5"]])
-    def test_heatmap_negative_window_is_usage_error(self, workspace, tmp_path, window):
+    @pytest.mark.parametrize("window", [
+        ["--start", "-5"], ["--start", "-10", "--end", "-5"], ["--start", "10", "--end", "5"],
+    ])
+    def test_heatmap_negative_window_is_usage_error(self, workspace, tmp_path, capsys, window):
         assert main([
             "heatmap", "--trajectories", str(workspace / "traj"), *window, "-o", str(tmp_path),
         ]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error: " in err
 
     @pytest.mark.parametrize("command", ["distance", "heatmap", "zonemap-draft"])
     @pytest.mark.parametrize("x", ["128", "-1"])
@@ -516,10 +520,17 @@ class TestAnalysisCommands:
         assert str(traj / "1.csv") in err and str(traj / "1_copy.csv") in err
         assert not out.exists()
 
-    def test_heatmap_empty_input_is_data_error(self, tmp_path):
+    def test_heatmap_empty_input_is_data_error(self, workspace, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()
         assert main(["heatmap", "--trajectories", str(empty), "-o", str(tmp_path)]) == EXIT_DATA
+        capsys.readouterr()
+        # a window that starts after every match (150 s) ends holds no position
+        assert main([
+            "heatmap", "--trajectories", str(workspace / "traj"), "--start", "1000",
+            "-o", str(tmp_path),
+        ]) == EXIT_DATA
+        assert capsys.readouterr().err == "teamtrace: error: no positions to map\n"
 
     def test_zonemap_draft(self, workspace):
         out = workspace / "draft_out"
@@ -652,12 +663,16 @@ class TestConfigFile:
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
 
-    def test_missing_config_file(self, workspace):
+    def test_missing_config_file(self, workspace, capsys):
         assert main([
             "cluster", "--config", "/nonexistent.cfg",
             "--trajectories", str(workspace / "traj"),
             "--meta", str(workspace / "streams" / "matches.csv"),
         ]) == EXIT_USAGE
+        capsys.readouterr()
+        traj = str(workspace / "traj")
+        assert main(["heatmap", "--trajectories", traj, "--config"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "teamtrace: error: --config needs a file argument\n"
 
 
 class TestCustomMap:
@@ -678,6 +693,19 @@ class TestCustomMap:
         reference = workspace / "zones_out" / "zone_changes.csv"
         if reference.exists():
             assert (out / "zone_changes.csv").read_bytes() == reference.read_bytes()
+
+    def test_missing_map_file_is_one_line_data_error(self, workspace, tmp_path, capsys):
+        legend = tmp_path / "legend.txt"
+        legend.write_text(DEFAULT_LEGEND_TEXT)
+        missing = tmp_path / "missing.ppm"
+        assert main([
+            "zones", "--trajectories", str(workspace / "traj"),
+            "--meta", str(workspace / "streams" / "matches.csv"),
+            "--map", str(missing), "--legend", str(legend), "-o", str(tmp_path / "out"),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("teamtrace: error: ") and err.count("\n") == 1
+        assert str(missing) in err
 
     def test_map_without_legend_is_usage_error(self, workspace, tmp_path):
         assert main([

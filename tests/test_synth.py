@@ -7,14 +7,8 @@ import pytest
 from genstreams import resample_to_tracks
 from teamtrace import measures, tickstream
 from teamtrace.core import SkillTier, Team
-from teamtrace.synth import (
-    MAX_SPREAD_SIGMA,
-    MatchMeta,
-    RegimeParams,
-    generate_match,
-    read_metadata_csv,
-    write_metadata_csv,
-)
+from teamtrace.synth import MAX_SPREAD_SIGMA, MatchMeta, RegimeParams, generate_match
+from teamtrace.tickstream import read_metadata_csv, write_metadata_csv
 from teamtrace.zonemap import ZoneLabel
 
 

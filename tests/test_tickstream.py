@@ -471,6 +471,11 @@ class TestTrajectoryCsv:
         assert split_players == block_players == ((Team.DIRE, 7), (Team.RADIANT, 3))
         assert np.array_equal(split_cells, block_cells)
         assert split_cells.shape == (2, 6, 2)
+        # a block that changes spelling mid-block is still one player
+        respelled = [row.replace(",Radiant,", ", RADIANT,") for row in b[3:]]
+        _, respelled_players, respelled_cells = read_rows(*a, *b[:3], *respelled)
+        assert respelled_players == block_players
+        assert np.array_equal(respelled_cells, block_cells)
 
     @pytest.mark.parametrize("rows,message", [
         ((), "empty"),
