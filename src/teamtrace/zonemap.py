@@ -182,10 +182,10 @@ def load_zone_map(pixmap_bytes: bytes, legend_text: str) -> ZoneMap:
         | pixels[:, :, 1].astype(np.int32) << 8
         | pixels[:, :, 2].astype(np.int32)
     )
-    lut = np.full(1 << 24, 255, dtype=np.uint8)
-    for label, (r, g, b) in legend.items():
-        lut[r << 16 | g << 8 | b] = _LABEL_INDEX[label]
-    img_codes = lut[packed]
+    colors = sorted((r << 16 | g << 8 | b, _LABEL_INDEX[z]) for z, (r, g, b) in legend.items())
+    keys, labels = np.array(colors + [(1 << 24, 255)]).T  # the sentinel sorts above every pixel
+    at = np.searchsorted(keys, packed)
+    img_codes = np.where(keys[at] == packed, labels[at], 255).astype(np.uint8)
     if (img_codes == 255).any():
         row, col = np.argwhere(img_codes == 255)[0]
         r, g, b = pixels[row, col]
