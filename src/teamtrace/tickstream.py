@@ -444,7 +444,7 @@ def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...],
     id, and every player exactly the rows t = 0..T, in file order, with
     cells on the grid. A team name may take any case and surrounding
     whitespace, in at most 15 bytes; it is parsed once per run of rows
-    that spell it the same way.
+    of one player and spelling.
     """
     head = inp.readline().rstrip("\r\n").split(",")
     if tuple(head) != TRAJECTORY_COLUMNS:
@@ -454,10 +454,10 @@ def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...],
         rows = np.loadtxt(inp, dtype=_TRAJECTORY_ROW, delimiter=",", comments=None, ndmin=1)
     if rows.size == 0:
         raise ValueError("empty trajectory file")
-    names = rows["team"]
-    runs = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
-    teams = np.repeat([_team_value(name) for name in names[runs].tolist()],
-                      np.diff(np.r_[runs, rows.size]))
+    names, pids = rows["team"], rows["player_id"]
+    # a run head is a row whose team spelling or player differs from the row before
+    heads = np.flatnonzero(np.r_[True, (names[1:] != names[:-1]) | (pids[1:] != pids[:-1])])
+    teams = [_team_value(name) for name in names[heads].tolist()]
     mids = rows["match_id"]
     mixed = np.flatnonzero(mids != mids[0])
     if mixed.size:
@@ -468,28 +468,25 @@ def read_trajectory_csv(inp: TextIO) -> tuple[int, tuple[tuple[Team, int], ...],
         x, y = xy[np.argmax(off_grid)]
         raise ValueError(f"cell ({x},{y}) outside [0,{GRID_SIZE - 1}]")
 
-    keys = np.stack((teams, rows["player_id"]), axis=-1)
-    # slots are found among run heads (rows whose player differs from the row before)
-    heads = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-    slots, first_run, slot_of_run = np.unique(
-        keys[heads], axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_run)  # slots by first appearance
-    player = np.repeat(np.argsort(order)[slot_of_run.ravel()], np.diff(np.r_[heads, rows.size]))
+    # slots in order of first appearance; heads of one (team, player_id) join one slot
+    slot_of: dict[tuple[int, int], int] = {}
+    player = np.repeat([slot_of.setdefault(key, len(slot_of))
+                        for key in zip(teams, pids[heads].tolist())],
+                       np.diff(np.r_[heads, rows.size]))
     by_player = np.argsort(player, kind="stable")
     counts = np.bincount(player)
     # each player's rows, in file order, must carry t = 0, 1, 2, ...
     want_t = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
     gap = rows["t"][by_player] != want_t
     if gap.any():
-        pid = rows["player_id"][by_player[np.argmax(gap)]]
+        pid = pids[by_player[np.argmax(gap)]]
         raise ValueError(f"non-contiguous timestamps for player {pid}")
     if (counts != counts[0]).any():
         raise ValueError(
             f"players have different track lengths ({counts.min()} to {counts.max()} rows)"
         )
     cells = xy[by_player].astype(np.uint8).reshape(counts.size, counts[0], 2)
-    players = tuple((Team(team), pid) for team, pid in slots[order].tolist())
+    players = tuple((Team(team), pid) for team, pid in slot_of)
     return int(mids[0]), players, cells
 
 
