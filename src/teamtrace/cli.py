@@ -269,8 +269,6 @@ def cmd_phases(args) -> int:
             for phase in Phase:
                 for t, mean_d, n in measures.aggregate_by_category(labeled, tier, won, phase):
                     rows.append((tier, won, phase, t, mean_d, n))
-    if not rows:
-        raise DataError("no aggregatable categories")
     out = _out_dir(args)
     with open(out / "phase_aggregates.csv", "w") as f:
         measures.write_aggregate_csv(f, rows)
@@ -296,8 +294,6 @@ def cmd_anova(args) -> int:
                       for level in levels]
             if len(groups := [g for g in groups if g]) >= 2:
                 rows.append((measure, factor, stats.one_way_anova(groups)))
-    if not rows:
-        raise DataError("need at least two tiers or both outcomes for ANOVA")
     out = _out_dir(args)
     with open(out / "anova.csv", "w") as f:
         stats.write_anova_csv(f, rows)
@@ -389,7 +385,7 @@ _DEFAULT_REGIMES = (
 
 
 def cmd_synth(args) -> int:
-    from . import synth
+    from . import synth, tickstream
     regimes = args.regime or list(_DEFAULT_REGIMES)
     if args.first_id + len(regimes) * args.matches > 1 << 64:  # match ids are uint64
         raise UsageError(f"--first-id {args.first_id} puts the last match id past 2**64 - 1")
@@ -409,7 +405,7 @@ def cmd_synth(args) -> int:
             metas.append(meta)
             match_id += 1
     with open(out / "matches.csv", "w") as f:
-        synth.write_metadata_csv(f, metas)
+        tickstream.write_metadata_csv(f, metas)
     return EXIT_OK
 
 

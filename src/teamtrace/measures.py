@@ -222,9 +222,8 @@ def aggregate_by_category(
             stack[i, : len(chunk)] = chunk
     counts = (~np.isnan(stack)).sum(axis=0)
     sums = np.nansum(stack, axis=0)
-    offs = np.flatnonzero(counts)
-    n = counts[offs]
-    return list(zip((offs + int(start)).tolist(), (sums[offs] / n).tolist(), n.tolist()))
+    # the longest series covers every second of [start, end), so no count is 0
+    return list(zip(range(int(start), int(end)), (sums / counts).tolist(), counts.tolist()))
 
 
 # The writers format lines directly: their fields (ints, enum names, float

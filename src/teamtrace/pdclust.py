@@ -178,9 +178,6 @@ class DissimilarityMatrix:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 def distance_matrix(
     series_set: Sequence,

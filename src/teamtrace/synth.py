@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_MIN_DWELL_S, GRID_SIZE, SkillTier, Team
-# read_/write_metadata_csv are kept importable from here; they live in tickstream
 from .tickstream import (
     PLAYER_COUNT,
     MatchMeta,
@@ -25,9 +24,7 @@ from .tickstream import (
     StreamHeader,
     UPDATE_DTYPE,
     _pack_frames,
-    read_metadata_csv,
     tick_for_second,
-    write_metadata_csv,
 )
 from .zonemap import _LABEL_INDEX, ZoneLabel, ZoneMap
 
