@@ -354,6 +354,35 @@ class TestAnalysisCommands:
         doc = json.loads((out / "clusters.json").read_text())
         assert 2 <= doc["config"]["m"] <= 7
 
+    def test_cluster_of_players_who_never_move_is_one_cluster(self, tmp_path, capsys):
+        # every team distance series is constant, so every pair of series is
+        # at divergence 0 and FANNY puts every crisp label in one cluster
+        streams, traj, out = tmp_path / "streams", tmp_path / "traj", tmp_path / "out"
+        meta = str(streams / "matches.csv")
+        assert main(["synth", "--matches", "1", "--duration", "60", "--seed", "3",
+                     "-o", str(streams)]) == EXIT_OK
+        files = sorted(str(p) for p in streams.glob("*.dtl2"))
+        assert main(["ingest", *files, "--meta", meta, "-o", str(traj)]) == EXIT_OK
+        for path in traj.glob("*.csv"):
+            header, *rows = path.read_text().splitlines()
+            first = {}
+            for i, row in enumerate(rows):
+                fields = row.split(",")
+                fields[4:] = first.setdefault(fields[2], fields[4:])
+                rows[i] = ",".join(fields)
+            path.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert main([
+            "cluster", "--trajectories", str(traj), "--meta", meta, "-o", str(out),
+        ]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out / "clusters.json").read_text())
+        assert len(doc["crisp"]) == 6 and len(set(doc["crisp"])) == 1
+        sil = doc["silhouette"]
+        assert sil["fuzzy_average"] == 0.0 and sil["pam_average"] == 0.0
+        assert sil["fuzzy_widths"] == [0.0] * 6
+        assert [c["size"] for c in doc["clusters"]] == [6]
+
     def test_zones_min_dwell_flag_changes_counts(self, workspace, tmp_path):
         strict, loose = tmp_path / "strict", tmp_path / "loose"
         for out, dwell in ((strict, "30"), (loose, "1")):
