@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import measures_oracle as oracle
 from teamtrace.core import Phase, SkillTier, Team
 from teamtrace.measures import (
     DistanceSeries,
@@ -22,6 +23,7 @@ from teamtrace.measures import (
 from teamtrace.zonemap import ZoneLabel
 
 A, B, C = ZoneLabel.TOP_LANE, ZoneLabel.JUNGLE, ZoneLabel.RIVER
+LABELS = list(ZoneLabel)
 
 
 def seq(*spans):
@@ -113,7 +115,8 @@ class TestZoneChangeStats:
 
 
 class TestStatsFromCodesOracle:
-    """``stats_from_codes`` against the ``dwell_filter`` visits it counts."""
+    """``stats_from_codes`` and ``dwell_filter`` against the per-run loop in
+    ``measures_oracle``."""
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
     @settings(max_examples=150, deadline=None)
@@ -129,7 +132,10 @@ class TestStatsFromCodesOracle:
         rng = np.random.default_rng(seed)
         runs = rng.geometric(1 / 3, size=duration)
         row = np.repeat(rng.choice(labels, size=duration), runs)[:duration].astype(dtype)
-        changes = change_count(dwell_filter(row, min_dwell))
+        visits = oracle.dwell_filter(row, min_dwell)
+        zones = [LABELS[c] for c in row.tolist()]
+        assert dwell_filter(zones, min_dwell) == visits
+        changes = change_count(visits)
         want = ZoneChangeStats(4, changes, duration, changes * 60.0 / duration)
         got = stats_from_codes(4, row, min_dwell)
         assert got == want
@@ -138,6 +144,10 @@ class TestStatsFromCodesOracle:
             stats_from_codes(4, row[:0], min_dwell)
         with pytest.raises(ValueError, match="^min_dwell_s must be at least 1$"):
             stats_from_codes(4, row, 0)
+        with pytest.raises(ValueError, match="^empty zone sequence$"):
+            dwell_filter([], 0)
+        with pytest.raises(ValueError, match="^min_dwell_s must be at least 1$"):
+            dwell_filter(zones, 0)
 
 
 class TestZoneSequence:
