@@ -3,9 +3,9 @@ arrays: zone codes with dwell filtering and change rates, intra-team
 distance series, moving averages and cross-match aggregation by tier /
 outcome / phase.
 
-Zone changes and team distance are array passes per row;
-``dwell_filter``, which lists the surviving visits, is kept as the
-reference the zone-change pass must equal.
+Zone changes and team distance are array passes per row. One kept-runs
+pass states the dwell rule; ``stats_from_codes`` counts changes from it
+and ``dwell_filter`` lists the surviving visits from it.
 
 All functions are pure; matches can be processed concurrently.
 """
@@ -76,16 +76,21 @@ def zone_codes(cells: np.ndarray, zmap: ZoneMap) -> np.ndarray:
     return zmap.codes[cells[..., 0], cells[..., 1]]
 
 
-def _runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run-length encode: (values, starts, lengths)."""
-    breaks = np.flatnonzero(np.diff(codes)) + 1
-    starts = np.concatenate(([0], breaks))
-    lengths = np.diff(np.concatenate((starts, [codes.size])))
-    return codes[starts], starts, lengths
+def _kept_runs(codes: np.ndarray, min_dwell_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dwell rule for a non-empty code row: where each run of one code
+    starts, and which runs last at least ``min_dwell_s`` seconds."""
+    if min_dwell_s < 1:
+        raise ValueError("min_dwell_s must be at least 1")
+    edge = np.empty(codes.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(codes[1:], codes[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    starts = bounds[:-1]
+    return starts, bounds[1:] - starts >= min_dwell_s
 
 
 def dwell_filter(
-    zones: Sequence[ZoneLabel] | np.ndarray, min_dwell_s: int = DEFAULT_MIN_DWELL_S
+    zones: Sequence[ZoneLabel], min_dwell_s: int = DEFAULT_MIN_DWELL_S
 ) -> list[ZoneVisit]:
     """Run-length encode a zone sequence and drop runs shorter than
     ``min_dwell_s`` seconds.
@@ -96,27 +101,18 @@ def dwell_filter(
     """
     if len(zones) == 0:
         raise ValueError("empty zone sequence")
-    if min_dwell_s < 1:
-        raise ValueError("min_dwell_s must be at least 1")
-    if isinstance(zones, np.ndarray):
-        codes = zones.astype(np.int64, copy=False)
-    else:
-        codes = np.fromiter(
-            (_LABEL_INDEX[z] for z in zones), dtype=np.int64, count=len(zones)
-        )
-    labels = _LABELS
-
-    values, starts, lengths = _runs(codes)
-    visits: list[ZoneVisit] = []
-    for val, start, length in zip(values.tolist(), starts.tolist(), lengths.tolist()):
-        if length < min_dwell_s:
-            continue
-        if visits and visits[-1].zone is labels[val]:
-            prev = visits[-1]
-            visits[-1] = ZoneVisit(prev.zone, prev.start_s, prev.dwell_s + length)
-        else:
-            visits.append(ZoneVisit(labels[val], start, length))
-    return visits
+    codes = np.fromiter((_LABEL_INDEX[z] for z in zones), dtype=np.int64, count=len(zones))
+    starts, keep = _kept_runs(codes, min_dwell_s)
+    lengths = np.diff(starts, append=codes.size)[keep]
+    starts = starts[keep]
+    values = codes[starts]
+    # a visit starts at each kept run whose zone differs from the kept run before; -1 is no zone
+    heads = np.flatnonzero(np.diff(values, prepend=-1))
+    dwells = np.add.reduceat(lengths, heads)
+    return [
+        ZoneVisit(_LABELS[v], start, dwell)
+        for v, start, dwell in zip(values[heads].tolist(), starts[heads].tolist(), dwells.tolist())
+    ]
 
 
 def change_count(visits: Sequence[ZoneVisit]) -> int:
@@ -134,17 +130,11 @@ def stats_from_codes(
     runs in different zones. The rate denominator is the observed time:
     one second per 1 Hz sample.
     """
-    duration_s = int(codes.size)
+    duration_s = codes.size
     if duration_s == 0:
         raise ValueError("zero-duration match")
-    if min_dwell_s < 1:
-        raise ValueError("min_dwell_s must be at least 1")
-    edge = np.empty(duration_s + 1, dtype=bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(codes[1:], codes[:-1], out=edge[1:-1])
-    bounds = edge.nonzero()[0]
-    starts = bounds[:-1]
-    kept = codes[starts[bounds[1:] - starts >= min_dwell_s]]
+    starts, keep = _kept_runs(codes, min_dwell_s)
+    kept = codes[starts[keep]]
     changes = int(np.count_nonzero(kept[1:] != kept[:-1]))
     return ZoneChangeStats(player_id, changes, duration_s, changes * 60.0 / duration_s)
 
