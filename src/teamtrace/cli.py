@@ -324,9 +324,8 @@ def cmd_cluster(args) -> int:
     m = pdclust.min_entropy_dimension(series, delay=args.delay) if args.m == "auto" else args.m
     matrix = pdclust.distance_matrix(series, m=m, delay=args.delay, ids=ids)
     fuzzy = pdclust.fanny(matrix, k=args.k, r=args.r, seed=args.seed)
-    sil_fuzzy = pdclust.silhouette(matrix, fuzzy.crisp)
-    sil_pam = pdclust.silhouette(matrix, fuzzy.start.labels)
     report = pdclust.cluster_report(series, fuzzy, matrix, labels=facet_labels)
+    sil_pam = pdclust.silhouette(matrix, fuzzy.start.labels)
 
     out = _out_dir(args)
     with open(out / "dissimilarity.csv", "w") as f:
@@ -345,8 +344,8 @@ def cmd_cluster(args) -> int:
         "converged": fuzzy.converged,
         "objective": fuzzy.objective,
         "silhouette": {
-            "fuzzy_average": sil_fuzzy.average,
-            "fuzzy_widths": sil_fuzzy.widths.tolist(),
+            "fuzzy_average": report.silhouette.average,
+            "fuzzy_widths": report.silhouette.widths.tolist(),
             "pam_average": sil_pam.average,
             "pam_medoids": list(fuzzy.start.medoids),
         },

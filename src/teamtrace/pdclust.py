@@ -480,7 +480,8 @@ def silhouette(matrix, assignment) -> SilhouetteResult:
 
     a is the mean dissimilarity to the point's own cluster (excluding the
     point), b the smallest mean dissimilarity to any other cluster.
-    Members of singleton clusters score 0.
+    Members of singleton clusters score 0, and so does every point of a
+    one-cluster assignment, which has no other cluster to give b.
     """
     d = _as_dissimilarity(matrix)
     labels = np.asarray(assignment)
@@ -488,8 +489,6 @@ def silhouette(matrix, assignment) -> SilhouetteResult:
         raise ValueError("assignment length does not match matrix size")
     # a plain np.unique imports numpy.ma on numpy 2.4; return_inverse does not
     clusters, own = np.unique(labels, return_inverse=True)
-    if clusters.size < 2:
-        raise ValueError("silhouette needs at least 2 clusters")
 
     onehot = (labels[:, None] == clusters[None, :]).astype(np.float64)
     sizes = onehot.sum(axis=0)
@@ -504,7 +503,7 @@ def silhouette(matrix, assignment) -> SilhouetteResult:
     b = means.min(axis=1)
     denom = np.maximum(a, b)
     widths = np.zeros(d.shape[0])
-    np.divide(b - a, denom, out=widths, where=(own_size > 1) & (denom != 0))
+    np.divide(b - a, denom, out=widths, where=(own_size > 1) & (denom != 0) & np.isfinite(b))
     widths.setflags(write=False)
     return SilhouetteResult(widths, float(widths.mean()))
 
@@ -522,7 +521,7 @@ class ClusterSummary:
 @dataclass(frozen=True)
 class ClusterReport:
     clusters: tuple[ClusterSummary, ...]
-    average_silhouette: float
+    silhouette: SilhouetteResult
 
 
 def cluster_report(
@@ -533,7 +532,7 @@ def cluster_report(
 ) -> ClusterReport:
     """Describe each cluster: size, mean and variance of the member series
     means, mean series duration, and counts faceted by (tier, outcome)
-    when labels are supplied; plus the average silhouette width."""
+    when labels are supplied; plus the silhouette of the crisp labels."""
     crisp = np.asarray(getattr(assignment, "crisp", assignment))
     values = [np.asarray(s, dtype=np.float64) for s in series_set]
     if len(values) != crisp.size:
@@ -541,11 +540,9 @@ def cluster_report(
     if labels is not None and len(labels) != len(values):
         raise ValueError("labels length does not match series count")
 
-    clusters = sorted(set(crisp.tolist()))
-    # a single cluster has no silhouette; report 0 rather than failing
-    avg_sil = silhouette(matrix, crisp).average if len(clusters) >= 2 else 0.0
+    sil = silhouette(matrix, crisp)
     summaries = []
-    for c in clusters:
+    for c in sorted(set(crisp.tolist())):
         members = np.flatnonzero(crisp == c)
         means = np.array([values[i].mean() for i in members])
         durations = np.array([values[i].size - 1 for i in members], dtype=np.float64)
@@ -564,7 +561,7 @@ def cluster_report(
                 facets=dict(sorted(facets.items())),
             )
         )
-    return ClusterReport(tuple(summaries), avg_sil)
+    return ClusterReport(tuple(summaries), sil)
 
 
 def write_matrix_csv(out: TextIO, matrix: DissimilarityMatrix) -> None:

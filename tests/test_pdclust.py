@@ -534,10 +534,11 @@ class TestSilhouette:
         assert res.widths[4] == pytest.approx((1.0 - 0.25) / 1.0)
         assert -1.0 <= res.widths.min() and res.widths.max() <= 1.0
 
-    def test_single_cluster_rejected(self):
+    def test_single_cluster_scores_zero(self):
         d, _ = block_matrix([4], within=0.1, between=1.0)
-        with pytest.raises(ValueError):
-            silhouette(d, np.zeros(4, dtype=int))
+        res = silhouette(d, np.zeros(4, dtype=int))
+        assert res.widths.tolist() == [0.0] * 4
+        assert res.average == 0.0
 
     @settings(max_examples=30)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -590,7 +591,7 @@ class TestClusterReport:
             assert c.variance_of_series_means == pytest.approx(np.var(means, ddof=1))
             assert c.mean_duration_s == pytest.approx(np.mean(durations))
             assert sum(c.facets.values()) == 3
-        assert report.average_silhouette == pytest.approx(
+        assert report.silhouette.average == pytest.approx(
             silhouette(d, labels).average
         )
 
