@@ -370,7 +370,7 @@ def cmd_heatmap(args) -> int:
             f.write(",".join(str(v) for v in row.tolist()))
             f.write("\n")
     peak = int(img.max())
-    intensity = (img * 255 // peak).astype(np.uint8) if peak else img.astype(np.uint8)
+    intensity = (img * 255 // peak).astype(np.uint8)
     pixels = np.repeat(intensity[:, :, None], 3, axis=2)
     (out / "heatmap.ppm").write_bytes(p6_bytes(pixels))
     return EXIT_OK
