@@ -9,7 +9,8 @@ from teamtrace import measures, tickstream
 from teamtrace.core import SkillTier, Team
 from teamtrace.synth import MAX_SPREAD_SIGMA, MatchMeta, RegimeParams, generate_match
 from teamtrace.tickstream import read_metadata_csv, write_metadata_csv
-from teamtrace.zonemap import ZoneLabel
+from teamtrace.defaultmap import DEFAULT_LEGEND
+from teamtrace.zonemap import ZoneLabel, ZoneMap
 
 
 def pipeline_stats(stream, meta, zmap):
@@ -110,6 +111,19 @@ class TestGenerateMatch:
         for slot, code in zip(header.players, spawn.tolist()):
             base = ZoneLabel.BASE_RADIANT if slot.team is Team.RADIANT else ZoneLabel.BASE_DIRE
             assert list(ZoneLabel)[code] is base
+
+    @pytest.mark.parametrize("tick_interval_ms", [0, 1000])
+    def test_tick_interval_out_of_range_rejected(self, zmap, tick_interval_ms):
+        p = RegimeParams(5.0, 3.0, 60)
+        with pytest.raises(ValueError, match=r"^tick_interval_ms must be in \[1, 999\]$"):
+            generate_match(p, p, zmap, seed=0, tick_interval_ms=tick_interval_ms)
+
+    def test_map_without_base_interior_rejected(self):
+        void = ZoneMap(np.full((128, 128), list(ZoneLabel).index(ZoneLabel.VOID), dtype=np.uint8),
+                       DEFAULT_LEGEND)
+        p = RegimeParams(5.0, 3.0, 60)
+        with pytest.raises(ValueError, match="^zone map has no interior cells for base_Radiant$"):
+            generate_match(p, p, void, seed=0)
 
     def test_mismatched_lengths_rejected(self, zmap):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -116,14 +117,26 @@ class TestLoad:
 
     @pytest.mark.parametrize("header", [
         b"P6\n-1 -3\n255\n", b"P6\n-128 -128\n255\n", b"P6\n+128 128\n255\n",
-        b"P6\n128 1_28\n255\n", b"P6\n128 128\n+255\n",
-    ], ids=["minus-1-minus-3", "minus-128", "plus-sign", "underscore", "signed-maxval"])
+        b"P6\n128 1_28\n255\n", b"P6\n128 128\n+255\n", b"P6\n" + b"1" * 5000 + b" 128\n255\n",
+    ], ids=["minus-1-minus-3", "minus-128", "plus-sign", "underscore", "signed-maxval",
+            "past-int-digit-limit"])
     @pytest.mark.parametrize("kind", ["P6", "P3"])
     def test_header_numbers_are_unsigned_decimal(self, header, kind):
         # a signed number must never reach numpy's reshape, which reads -1 as "infer"
         body = bytes(9) if kind == "P6" else b"0 " * 9
         blob = header.replace(b"P6", kind.encode(), 1) + body
         with pytest.raises(ZoneMapError, match="malformed pixmap header"):
+            load_zone_map(blob, DEFAULT_LEGEND_TEXT)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"P6\n1 1\n254\n" + bytes(3), "unsupported maxval 254 (expected 255)"),
+        (b"P6\n1 1\n255\n" + bytes(4), "trailing bytes after pixmap data"),
+        (b"P3\n1 1\n255\n0 0 x\n", "malformed P3 sample"),
+        (b"P3\n1 1\n255\n0 0\n", "expected 3 samples, got 2"),
+        (b"P3\n1 1\n255\n0 0 256\n", "P3 sample out of 0..255"),
+    ], ids=["maxval-254", "p6-trailing-byte", "p3-non-integer", "p3-short", "p3-sample-256"])
+    def test_bad_pixmap_body_rejected(self, blob, message):
+        with pytest.raises(ZoneMapError, match=f"^{re.escape(message)}$"):
             load_zone_map(blob, DEFAULT_LEGEND_TEXT)
 
     def test_header_comments_and_whitespace(self):
@@ -168,6 +181,15 @@ class TestLegend:
     def test_duplicate_color_rejected(self):
         text = DEFAULT_LEGEND_TEXT + "\n0 0 0 pit\n"
         with pytest.raises(ZoneMapError, match="duplicate color"):
+            parse_legend(text)
+
+    @pytest.mark.parametrize("line, message", [
+        ("0 256 0 pit", "legend line 12: color out of 0..255"),
+        ("9 9 9 pit", "legend line 12: duplicate zone pit"),
+    ], ids=["color-256", "duplicate-zone"])
+    def test_bad_line_rejected(self, line, message):
+        text = DEFAULT_LEGEND_TEXT.rstrip("\n") + "\n" + line + "\n"
+        with pytest.raises(ZoneMapError, match=f"^{re.escape(message)}$"):
             parse_legend(text)
 
     def test_unknown_zone_rejected(self):
@@ -221,6 +243,14 @@ class TestZoneMapType:
         partial = {k: v for k, v in DEFAULT_LEGEND.items() if k is not ZoneLabel.PIT}
         with pytest.raises(ZoneMapError, match="missing"):
             ZoneMap(codes, partial)
+
+    @pytest.mark.parametrize("codes, message", [
+        (np.zeros((127, 128), dtype=np.uint8), "zone grid must be 128x128"),
+        (np.full((128, 128), 11, dtype=np.uint8), "zone grid must hold uint8 label codes"),
+    ], ids=["127-rows", "code-11"])
+    def test_bad_grid_rejected(self, codes, message):
+        with pytest.raises(ZoneMapError, match=f"^{re.escape(message)}$"):
+            ZoneMap(codes, DEFAULT_LEGEND)
 
     def test_duplicate_colors_rejected(self):
         codes = np.zeros((128, 128), dtype=np.uint8)
