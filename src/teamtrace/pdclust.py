@@ -540,7 +540,6 @@ def cluster_report(
     if labels is not None and len(labels) != len(values):
         raise ValueError("labels length does not match series count")
 
-    sil = silhouette(matrix, crisp)
     summaries = []
     for c in sorted(set(crisp.tolist())):
         members = np.flatnonzero(crisp == c)
@@ -561,7 +560,7 @@ def cluster_report(
                 facets=dict(sorted(facets.items())),
             )
         )
-    return ClusterReport(tuple(summaries), sil)
+    return ClusterReport(tuple(summaries), silhouette(matrix, crisp))
 
 
 def write_matrix_csv(out: TextIO, matrix: DissimilarityMatrix) -> None:
