@@ -503,7 +503,8 @@ def silhouette(matrix, assignment) -> SilhouetteResult:
     b = means.min(axis=1)
     denom = np.maximum(a, b)
     widths = np.zeros(d.shape[0])
-    np.divide(b - a, denom, out=widths, where=(own_size > 1) & (denom != 0) & np.isfinite(b))
+    # b is infinite only when there is no other cluster
+    np.divide(b - a, denom, out=widths, where=(own_size > 1) & (denom != 0) & (b < np.inf))
     widths.setflags(write=False)
     return SilhouetteResult(widths, float(widths.mean()))
 
