@@ -22,7 +22,8 @@ import numpy as np
 # what the parser needs, and each command imports the layers it runs.
 from .core import (
     DEFAULT_CLUSTER_COUNT, DEFAULT_EMBED_DIM, DEFAULT_MEMBERSHIP_EXPONENT, DEFAULT_MIN_DWELL_S,
-    GRID_SIZE, MAX_DURATION_S, MAX_SYNTH_MATCHES, Phase, SkillTier, Team, check_lineup,
+    GRID_SIZE, MAX_DURATION_S, MAX_EMBED_DIM, MAX_SYNTH_MATCHES, MIN_EMBED_DIM, Phase, SkillTier,
+    Team, check_lineup,
 )
 from .zonemap import (
     ZoneLabel, ZoneMap, draft_zone_map, load_zone_map, p6_bytes, parse_legend, render_zone_map,
@@ -51,10 +52,6 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; we reserve 2 for data
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -63,12 +60,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_zone_map(args) -> ZoneMap:
     from .defaultmap import default_zone_map
     if args.zone_map and args.legend:
-        try:
-            pix = Path(args.zone_map).read_bytes()
-            leg = Path(args.legend).read_text()
-        except OSError as e:
-            raise DataError(str(e)) from None
-        return load_zone_map(pix, leg)
+        return load_zone_map(Path(args.zone_map).read_bytes(), Path(args.legend).read_text())
     if args.zone_map or args.legend:
         raise UsageError("--map and --legend must be given together")
     return default_zone_map()
@@ -83,17 +75,18 @@ def _trajectory_files(paths: Iterable[str]) -> list[Path]:
         else:
             out.append(path)
     if not out:
-        raise DataError("no trajectory files found")
+        raise ValueError("no trajectory files found")
     return out
 
 
 def _read(path, reader):
-    """``reader`` applied to the text file at ``path``; a failure is a DataError."""
+    """``reader`` applied to the text file at ``path``; a failure is a ValueError
+    that names the path."""
     try:
         with open(path) as f:
             return reader(f)
     except (OSError, ValueError) as e:
-        raise DataError(f"{path}: {e}") from None
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _read_meta(path: str) -> dict[int, tickstream.MatchMeta]:
@@ -122,12 +115,12 @@ def _load_matches(args) -> list[_Match]:
         try:
             check_lineup([team for team, _ in players])
         except ValueError as e:
-            raise DataError(f"{path}: {e}") from None
+            raise ValueError(f"{path}: {e}") from None
         if match_id in source:
-            raise DataError(f"{path}: match {match_id} already read from {source[match_id]}")
+            raise ValueError(f"{path}: match {match_id} already read from {source[match_id]}")
         source[match_id] = path
         if meta is not None and match_id not in meta:
-            raise DataError(f"{path}: match {match_id} missing from metadata")
+            raise ValueError(f"{path}: match {match_id} missing from metadata")
         label = (meta[match_id].tier, meta[match_id].winner) if meta is not None else ()
         matches.append(_Match(match_id, players, cells, *label))
     return sorted(matches, key=lambda m: m.match_id)
@@ -170,6 +163,15 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_csv(path: Path, header: str, chunks: Iterable[str]) -> None:
+    """Write a report: its header line, then each chunk of formatted rows as
+    it is made. Fields are ints, enum names and float reprs, none of which
+    needs CSV quoting."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(chunks)
+
+
 def _write_json(path: Path, doc) -> None:
     import json
     with open(path, "w") as f:
@@ -205,32 +207,24 @@ def cmd_ingest(args) -> int:
         with open(out / f"{header.match_id}.csv", "w") as f:
             tickstream.write_trajectory_csv(header, cells, f)
     if len(errors) == len(paths):
-        raise DataError(f"no stream ingested ({len(errors)} failed); first: {errors[0]}")
+        raise ValueError(f"no stream ingested ({len(errors)} failed); first: {errors[0]}")
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
     return EXIT_PARTIAL if errors else EXIT_OK
 
 
 def cmd_zones(args) -> int:
-    from . import measures
     zmap = _load_zone_map(args)
-    rows = []
-    for match in _load_matches(args):
-        for team, st in _player_stats(match, zmap, args.min_dwell):
-            rows.append(
-                (
-                    match.match_id,
-                    st.player_id,
-                    team,
-                    match.tier,
-                    team is match.winner,
-                    st.changes,
-                    st.rate_per_min,
-                )
-            )
-    out = _out_dir(args)
-    with open(out / "zone_changes.csv", "w") as f:
-        measures.write_zone_changes_csv(f, rows)
+    matches = _load_matches(args)
+    header = "match_id,player_id,team,tier,win,changes,rate_per_min"
+    _write_csv(_out_dir(args) / "zone_changes.csv", header, (
+        "".join([
+            f"{match.match_id},{st.player_id},{team!s},{match.tier!s},"
+            f"{int(team is match.winner)},{st.changes},{st.rate_per_min!r}\n"
+            for team, st in _player_stats(match, zmap, args.min_dwell)
+        ])
+        for match in matches
+    ))
     return EXIT_OK
 
 
@@ -250,28 +244,26 @@ def _series_for(matches: Iterable[_Match], window: int = 1) -> list[measures.Lab
 
 
 def cmd_distance(args) -> int:
-    from . import measures
-    series = [s for match in _load_matches(args) for s in _team_series(match)]
-    out = _out_dir(args)
-    with open(out / "distance_series.csv", "w") as f:
-        measures.write_distance_csv(f, series)
+    matches = _load_matches(args)
+    _write_csv(_out_dir(args) / "distance_series.csv", "match_id,team,t,d", (
+        "".join([f"{prefix}{t},{d!r}\n" for t, d in enumerate(s.values.tolist())])
+        for match in matches for s in _team_series(match)
+        for prefix in [f"{s.match_id},{s.team!s},"]
+    ))
     return EXIT_OK
 
 
 def cmd_phases(args) -> int:
     from . import measures
     labeled = _series_for(_load_matches(args), args.window)
-    rows = []
-    for tier in SkillTier:
-        for won in (True, False):
-            if not any(ls.tier is tier and ls.won == won for ls in labeled):
-                continue
-            for phase in Phase:
-                for t, mean_d, n in measures.aggregate_by_category(labeled, tier, won, phase):
-                    rows.append((tier, won, phase, t, mean_d, n))
-    out = _out_dir(args)
-    with open(out / "phase_aggregates.csv", "w") as f:
-        measures.write_aggregate_csv(f, rows)
+    categories = [(tier, won) for tier in SkillTier for won in (True, False)
+                  if any(ls.tier is tier and ls.won == won for ls in labeled)]
+    _write_csv(_out_dir(args) / "phase_aggregates.csv", "tier,outcome,phase,t,mean_d,n_matches", (
+        "".join([f"{prefix}{t},{mean_d!r},{n}\n"
+                 for t, mean_d, n in measures.aggregate_by_category(labeled, tier, won, phase)])
+        for tier, won in categories for phase in Phase
+        for prefix in [f"{tier!s},{'win' if won else 'loss'},{phase!s},"]
+    ))
     return EXIT_OK
 
 
@@ -295,8 +287,11 @@ def cmd_anova(args) -> int:
             if len(groups := [g for g in groups if g]) >= 2:
                 rows.append((measure, factor, stats.one_way_anova(groups)))
     out = _out_dir(args)
-    with open(out / "anova.csv", "w") as f:
-        stats.write_anova_csv(f, rows)
+    _write_csv(out / "anova.csv", "measure,factor,F,df1,df2,p", [
+        f"{measure},{factor},{res.F!r},{res.df_between},{res.df_within},"
+        f"{stats.format_p_value(res.p)}\n"
+        for measure, factor, res in rows
+    ])
     doc = [
         {
             "measure": measure,
@@ -328,8 +323,9 @@ def cmd_cluster(args) -> int:
     sil_pam = pdclust.silhouette(matrix, fuzzy.start.labels)
 
     out = _out_dir(args)
-    with open(out / "dissimilarity.csv", "w") as f:
-        pdclust.write_matrix_csv(f, matrix)
+    _write_csv(out / "dissimilarity.csv", ",".join(ids), (
+        ",".join(map(repr, row.tolist())) + "\n" for row in matrix.values
+    ))
     doc = {
         "config": {
             "k": args.k,
@@ -360,7 +356,7 @@ def cmd_heatmap(args) -> int:
         raise UsageError("--end must not precede --start")
     grid = _occupancy(_load_matches(args), args.start, args.end)
     if not grid.any():
-        raise DataError("no positions to map")
+        raise ValueError("no positions to map")
 
     out = _out_dir(args)
     # CSV and PPM share the image orientation: row 0 is the north edge
@@ -561,9 +557,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_common(p, meta=True)
     p.add_argument("--k", type=_int_at_least(2), default=cfg.k, help="cluster count")
     p.add_argument("--r", type=_float_above(1.0), default=cfg.r, help="membership exponent")
-    # m above pdclust.MAX_EMBED_DIM is left to pdclust, a data error as today
-    p.add_argument("--m", type=_int_at_least(2, "auto"), default=str(cfg.m),
-                   help="embedding dimension or 'auto'")
+    p.add_argument("--m", type=_int_at_least(MIN_EMBED_DIM, "auto", most=MAX_EMBED_DIM),
+                   default=str(cfg.m), help="embedding dimension or 'auto'")
     p.add_argument("--delay", type=_int_at_least(1), default=cfg.delay)
     p.add_argument("--seed", type=_int_at_least(0), default=cfg.seed)
     p.set_defaults(fn=cmd_cluster)
@@ -614,7 +609,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as e:
         print(f"teamtrace: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
+        if isinstance(e, MemoryError):  # str(MemoryError()) can be empty
+            e = f"{argv[0] if argv else 'teamtrace'} ran out of memory"
         print(f"teamtrace: error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -21,6 +21,9 @@ DEFAULT_MIN_DWELL_S = 5
 DEFAULT_CLUSTER_COUNT = 3
 DEFAULT_MEMBERSHIP_EXPONENT = 1.15
 DEFAULT_EMBED_DIM = 5
+# Embedding dimensions the ordinal-pattern kernel supports (m! patterns).
+MIN_EMBED_DIM = 2
+MAX_EMBED_DIM = 7
 
 # Match phase boundaries, half-open: [0, 900) early, [900, 1800) mid,
 # [1800, inf) late.

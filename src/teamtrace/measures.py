@@ -12,18 +12,12 @@ All functions are pure; matches can be processed concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
 from .core import DEFAULT_MIN_DWELL_S, Phase, SkillTier, Team, phase_window
 from .zonemap import _LABEL_INDEX, _LABELS, ZoneLabel, ZoneMap
-
-ZONE_CHANGE_COLUMNS = ("match_id", "player_id", "team", "tier", "win", "changes", "rate_per_min")
-DISTANCE_COLUMNS = ("match_id", "team", "t", "d")
-AGGREGATE_COLUMNS = ("tier", "outcome", "phase", "t", "mean_d", "n_matches")
 
 
 @dataclass(frozen=True)
@@ -214,30 +208,3 @@ def aggregate_by_category(
     sums = np.nansum(stack, axis=0)
     # the longest series covers every second of [start, end), so no count is 0
     return list(zip(range(int(start), int(end)), (sums / counts).tolist(), counts.tolist()))
-
-
-# The writers format lines directly: their fields (ints, enum names, float
-# reprs) never need CSV quoting.
-def write_zone_changes_csv(out: TextIO, rows: Iterable[tuple]) -> None:
-    """Rows: (match_id, player_id, team, tier, win: bool, changes, rate)."""
-    out.write(",".join(ZONE_CHANGE_COLUMNS) + "\n")
-    out.write("".join([
-        f"{match_id},{player_id},{team!s},{tier!s},{int(win)},{changes},{rate!r}\n"
-        for match_id, player_id, team, tier, win, changes, rate in rows
-    ]))
-
-
-def write_distance_csv(out: TextIO, series_set: Iterable[DistanceSeries]) -> None:
-    out.write(",".join(DISTANCE_COLUMNS) + "\n")
-    for s in series_set:
-        prefix = f"{s.match_id},{s.team!s},"
-        out.write("".join([f"{prefix}{t},{d!r}\n" for t, d in enumerate(s.values.tolist())]))
-
-
-def write_aggregate_csv(out: TextIO, rows: Iterable[tuple]) -> None:
-    """Rows: (tier, outcome: bool, phase, t, mean_d, n_matches)."""
-    out.write(",".join(AGGREGATE_COLUMNS) + "\n")
-    # a category's rows come in one run: its names are formatted once
-    for (tier, won, phase), run in groupby(rows, key=itemgetter(0, 1, 2)):
-        prefix = f"{tier!s},{'win' if won else 'loss'},{phase!s},"
-        out.write("".join([f"{prefix}{t},{mean_d!r},{n}\n" for _, _, _, t, mean_d, n in run]))

@@ -24,19 +24,19 @@ medoids, labels and costs are unchanged.
 """
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_CLUSTER_COUNT, DEFAULT_EMBED_DIM, DEFAULT_MEMBERSHIP_EXPONENT
+from .core import (
+    DEFAULT_CLUSTER_COUNT, DEFAULT_EMBED_DIM, DEFAULT_MEMBERSHIP_EXPONENT, MAX_EMBED_DIM,
+    MIN_EMBED_DIM,
+)
 
 _FACTORIAL = (1, 1, 2, 6, 24, 120, 720, 5040)
-MIN_EMBED_DIM = 2
-MAX_EMBED_DIM = 7
 
 
 @dataclass(frozen=True)
@@ -562,12 +562,3 @@ def cluster_report(
             )
         )
     return ClusterReport(tuple(summaries), silhouette(matrix, crisp))
-
-
-def write_matrix_csv(out: TextIO, matrix: DissimilarityMatrix) -> None:
-    """Row-major CSV with a header row of series ids."""
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(matrix.ids)
-    for row in matrix.values:
-        w.writerow([repr(v) for v in row.tolist()])
-

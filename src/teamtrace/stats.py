@@ -7,16 +7,13 @@ underflow toward 0.0 and are rendered as "< 2.2e-16".
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import exp, inf, isinf, lgamma, log, log1p
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
 P_VALUE_FLOOR = 2.2e-16
-
-ANOVA_COLUMNS = ("measure", "factor", "F", "df1", "df2", "p")
 
 
 @dataclass(frozen=True)
@@ -133,13 +130,3 @@ def format_p_value(p: float) -> str:
     if p < P_VALUE_FLOOR:
         return "< 2.2e-16"
     return repr(float(p))
-
-
-def write_anova_csv(out: TextIO, rows: Iterable[tuple[str, str, AnovaResult]]) -> None:
-    """Rows: (measure, factor, result)."""
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(ANOVA_COLUMNS)
-    for measure, factor, res in rows:
-        w.writerow(
-            (measure, factor, repr(res.F), res.df_between, res.df_within, format_p_value(res.p))
-        )

@@ -9,7 +9,8 @@ same numbers with batched array code; the tests in
 stay exactly as written.
 
 It also holds two helpers only the tests need: the pairwise divergence of
-two distributions and a reader for the CSV ``write_matrix_csv`` writes.
+two distributions and a reader for the ``dissimilarity.csv`` that
+``teamtrace cluster`` writes.
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,10 @@ from teamtrace import tickstream
 from teamtrace.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from teamtrace.core import Team
 from genstreams import make_header
+from pdclust_oracle import read_matrix_csv
 from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT
+from teamtrace.measures import distance_values
+from teamtrace.pdclust import distance_matrix
 from teamtrace.tickstream import read_metadata_csv
 from teamtrace.zonemap import load_zone_map
 
@@ -35,6 +39,36 @@ def workspace(tmp_path_factory):
         "ingest", *files, "--meta", str(streams / "matches.csv"), "-o", str(traj),
     ]) == EXIT_OK
     return root
+
+
+def _copied_batch(tmp_path, copies, *synth_flags):
+    """One synth match per regime, ingested and written ``copies`` times
+    under new match ids 1, 2, ...; a copy keeps its source's tier and winner.
+    Returns the trajectory directory and its metadata file."""
+    streams, traj, batch = tmp_path / "streams", tmp_path / "traj", tmp_path / "batch"
+    assert main(["synth", "--matches", "1", "--seed", "5", *synth_flags,
+                 "-o", str(streams)]) == EXIT_OK
+    assert main(["ingest", *sorted(map(str, streams.glob("*.dtl2"))),
+                 "-o", str(traj)]) == EXIT_OK
+    header, *metas = (streams / "matches.csv").read_text().splitlines()
+    meta_lines = [header]
+    batch.mkdir()
+    for copy_id in range(1, copies * len(metas) + 1):
+        match_id, rest = metas[(copy_id - 1) % len(metas)].split(",", 1)
+        head, *rows = (traj / f"{match_id}.csv").read_text().splitlines()
+        meta_lines.append(f"{copy_id},{rest}")
+        (batch / f"{copy_id}.csv").write_text("".join(
+            [f"{head}\n", *(f"{copy_id},{row.split(',', 1)[1]}\n" for row in rows)]))
+    meta = tmp_path / "matches.csv"
+    meta.write_text("\n".join(meta_lines) + "\n")
+    return batch, meta
+
+
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(teamtrace.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 class TestSynthAndIngest:
@@ -162,8 +196,10 @@ class TestSynthAndIngest:
          "argument --regime: 'Normal:1e308:1': spread_sigma must be at most 512 cells"),
         # rejected as argparse reads it, before any work list is built
         (["--matches", "100000000"], "argument --matches: must be at most 10000, got 100000000"),
+        (["--regime", "Professional:6"],
+         "argument --regime: 'Professional:6', want TIER:SIGMA:RATE"),
     ], ids=["negative-seed", "nan-sigma", "zero-matches", "zero-duration", "negative-first-id",
-            "huge-sigma", "huge-matches"])
+            "huge-sigma", "huge-matches", "regime-two-fields"])
     def test_bad_synth_flag_is_one_line_usage_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "o"
         code = main(["synth", "--matches", "1", "--duration", "10", *flags, "-o", str(out)])
@@ -324,6 +360,21 @@ class TestAnalysisCommands:
             assert d["df1"] == int(r["df1"]) and d["df2"] == int(r["df2"])
             assert d["p_display"] == r["p"]
 
+    def test_anova_p_value_below_the_floor_is_written_unquoted(self, tmp_path):
+        # two copies of each of two matches from far-apart regimes, one tier
+        # per source match: the tier F of zone-change rates puts p below 2.2e-16
+        batch, meta = _copied_batch(tmp_path, 2, "--duration", "300",
+                                    "--regime", "Professional:6:6", "--regime", "Normal:14:2")
+        out = tmp_path / "out"
+        assert main(["anova", "--trajectories", str(batch), "--meta", str(meta),
+                     "-o", str(out)]) == EXIT_OK
+        head, *lines = (out / "anova.csv").read_text().splitlines()
+        doc = json.loads((out / "anova.json").read_text())
+        (d,) = [d for d in doc if (d["measure"], d["factor"]) == ("zone_change_rate", "tier")]
+        assert head == "measure,factor,F,df1,df2,p"
+        assert d["p"] < 2.2e-16 and d["p_display"] == "< 2.2e-16"
+        assert f"zone_change_rate,tier,{d['F']!r},{d['df1']},{d['df2']},< 2.2e-16" in lines
+
     def test_cluster_and_determinism(self, workspace):
         out1, out2 = workspace / "cl1", workspace / "cl2"
         for out in (out1, out2):
@@ -343,6 +394,26 @@ class TestAnalysisCommands:
         assert all(abs(sum(row) - 1) < 1e-9 for row in doc["memberships"])
         assert -1.0 <= doc["silhouette"]["fuzzy_average"] <= 1.0
         assert sum(c["size"] for c in doc["clusters"]) == 12
+
+    def test_cluster_matrix_csv_holds_the_ids_and_divergences(self, workspace, tmp_path):
+        out = tmp_path / "cl"
+        assert main([
+            "cluster", "--trajectories", str(workspace / "traj"),
+            "--meta", str(workspace / "streams" / "matches.csv"), "-o", str(out),
+        ]) == EXIT_OK
+        with open(out / "dissimilarity.csv") as f:
+            back = read_matrix_csv(f)
+        doc = json.loads((out / "clusters.json").read_text())
+        ids, series = [], []
+        for path in sorted((workspace / "traj").glob("*.csv"), key=lambda p: int(p.stem)):
+            with open(path) as f:
+                match_id, players, cells = tickstream.read_trajectory_csv(f)
+            teams = np.array([team.value for team, _ in players])
+            for team in Team:
+                ids.append(f"{match_id}:{team}")
+                series.append(distance_values(cells[teams == team.value]))
+        assert back.ids == tuple(doc["ids"]) == tuple(ids)
+        assert np.array_equal(back.values, distance_matrix(series, m=doc["config"]["m"]).values)
 
     def test_cluster_with_auto_embedding_dimension(self, workspace):
         out = workspace / "cl_auto"
@@ -413,11 +484,13 @@ class TestAnalysisCommands:
         (["--delay", "0"],
          "teamtrace cluster: error: argument --delay: must be at least 1, got 0"),
         (["--m", "1"], "teamtrace cluster: error: argument --m: must be at least 2, got 1"),
+        (["--m", "8"], "teamtrace cluster: error: argument --m: must be at most 7, got 8"),
         # clustering reads no dwell time, so the top-level parser refuses the flag
         (["--min-dwell", "0"], "teamtrace: error: unrecognized arguments: --min-dwell 0"),
         (["--seed", "-1"],
          "teamtrace cluster: error: argument --seed: must be at least 0, got -1"),
-    ], ids=["nan-r", "inf-r", "zero-delay", "m-one", "zero-min-dwell", "negative-seed"])
+    ], ids=["nan-r", "inf-r", "zero-delay", "m-one", "m-eight", "zero-min-dwell",
+            "negative-seed"])
     def test_bad_cluster_flag_is_one_line_usage_error(self, workspace, tmp_path, capsys,
                                                        flags, message):
         out = tmp_path / "o"
@@ -454,9 +527,8 @@ class TestAnalysisCommands:
 
     @pytest.mark.parametrize("flags, message", [
         (["--m", "7"], "series of length 6 too short for m=7, delay=1 (needs >= 7)"),
-        (["--m", "8"], "embedding dimension m must be in [2,7]"),
         (["--r", "1e308"], "membership exponent r=1e+308 too large: all cluster mass underflows"),
-    ], ids=["7-series-too-short", "8-embedding-dimension-out-of-range", "r-1e308-underflows"])
+    ], ids=["7-series-too-short", "r-1e308-underflows"])
     def test_cluster_embedding_too_large_is_one_line_data_error(
         self, tmp_path, capsys, flags, message
     ):
@@ -601,13 +673,10 @@ class TestStartup:
         paths = {"traj": workspace / "traj", "meta": workspace / "streams" / "matches.csv",
                  "out": tmp_path / "out"}
         argv = [arg.format(**paths) for arg in argv.split()]
-        src = str(Path(teamtrace.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
         listing = tmp_path / "modules.txt"
         proc = subprocess.run(
             [sys.executable, "-c", _LOADED_MODULES, str(listing), *argv],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_src_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         modules = set(listing.read_text().splitlines())
@@ -627,6 +696,32 @@ class TestStartup:
             _, players, _ = tickstream.read_trajectory_csv(f)
         assert calls == ["Radiant", "Dire"] * 5
         assert [team for team, _ in players] == [Team.RADIANT, Team.DIRE] * 5
+
+
+_PEAK_AFTER_CLUSTER_IMPORTS = (
+    "import teamtrace.cli, teamtrace.measures, teamtrace.pdclust, teamtrace.tickstream\n"
+    "print([l.split()[1] for l in open('/proc/self/status') if l.startswith('VmPeak:')][0])\n"
+)
+_RUN_CLI = "import sys\nfrom teamtrace.cli import main\nsys.exit(main())\n"
+
+
+class TestOutOfMemory:
+    def test_cluster_allocation_failure_is_one_line_data_error(self, tmp_path):
+        # 420 series of 21 s: loading them fits in 8 MiB over the imports, the
+        # 420 x 7! root frequencies (17 MB) do not
+        batch, meta = _copied_batch(tmp_path, 70, "--duration", "20")
+        env = _src_env()
+        probe = subprocess.run([sys.executable, "-c", _PEAK_AFTER_CLUSTER_IMPORTS], env=env,
+                               capture_output=True, text=True, timeout=120, check=True)
+        cap = (int(probe.stdout) << 10) + (8 << 20)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_CLI, "cluster", "--trajectories", str(batch),
+             "--meta", str(meta), "--m", "7", "-o", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_DATA, "teamtrace: error: cluster ran out of memory\n")
 
 
 class TestConfigFile:

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from genstreams import make_header, read_rows
 from teamtrace.core import (
     Phase,
+    SkillTier,
     Team,
     check_lineup,
     phase_window,
@@ -85,6 +86,11 @@ class TestDomainTypes:
         assert Team.parse("dire") is Team.DIRE
         with pytest.raises(ValueError):
             Team.parse("neutral")
+
+    def test_tier_parse(self):
+        assert SkillTier.parse(" veryhigh ") is SkillTier.VERY_HIGH
+        with pytest.raises(ValueError, match="^unknown skill tier: 'Legend'$"):
+            SkillTier.parse("Legend")
 
 
 def _lineup(radiant=5, dire=5):

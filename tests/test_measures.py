@@ -194,6 +194,11 @@ class TestTeamDistance:
         with pytest.raises(ValueError):
             team_distance(np.array([[1, 1]]))
 
+    def test_positions_must_be_pairs(self):
+        with pytest.raises(ValueError,
+                           match=r"^positions must be an \(n, 2\) array, got shape \(2, 3\)$"):
+            team_distance(np.zeros((2, 3)))
+
     @settings(max_examples=60)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_matches_oracle_and_invariances(self, seed):
@@ -280,6 +285,11 @@ class TestDistanceSeries:
             DistanceSeries(1, Team.RADIANT, np.array([1.0, float("nan")]))
         with pytest.raises(ValueError):
             DistanceSeries(1, Team.RADIANT, np.array([-0.5, 1.0]))
+
+    @pytest.mark.parametrize("values", [np.array([]), np.zeros((2, 2))], ids=["empty", "2d"])
+    def test_shape_rejected(self, values):
+        with pytest.raises(ValueError, match="^distance series must be a non-empty 1-D array$"):
+            DistanceSeries(1, Team.RADIANT, values)
 
 
 class TestMovingAverage:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from collections.abc import Sequence
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from teamtrace.pdclust import (
     DissimilarityMatrix,
+    PermDistribution,
     cluster_report,
     distance_matrix,
     fanny,
@@ -16,9 +18,8 @@ from teamtrace.pdclust import (
     pam,
     perm_distribution,
     silhouette,
-    write_matrix_csv,
 )
-from pdclust_oracle import pd_divergence, read_matrix_csv
+from pdclust_oracle import pd_divergence
 from test_pdclust_oracle import planted_matrix, planted_series
 
 
@@ -115,6 +116,15 @@ class TestPermDistribution:
     def test_non_finite_values_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             perm_distribution([1.0, float("nan"), 2.0, 3.0], m=2)
+
+    @pytest.mark.parametrize("m, freqs, message", [
+        (3, [0.2] * 5, "expected 6 frequencies for m=3"),
+        (2, [0.5, 0.6], "frequencies must be non-negative and sum to 1"),
+        (2, [1.5, -0.5], "frequencies must be non-negative and sum to 1"),
+    ], ids=["wrong-length", "sum-above-one", "negative"])
+    def test_bad_frequencies_rejected(self, m, freqs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PermDistribution(m, 1, np.array(freqs))
         with pytest.raises(ValueError, match="finite"):
             perm_distribution([1.0, float("inf"), 2.0, 3.0], m=2)
 
@@ -200,15 +210,9 @@ class TestDistanceMatrix:
                 )
                 assert m.values[i, j] == pytest.approx(want, abs=1e-12)
 
-    def test_ids_roundtrip_through_csv(self, tmp_path):
-        m = distance_matrix([[1, 2, 3, 4], [4, 3, 2, 1], [1, 3, 2, 4]], m=2, ids=["a", "b", "c"])
-        path = tmp_path / "mat.csv"
-        with open(path, "w") as f:
-            write_matrix_csv(f, m)
-        with open(path) as f:
-            back = read_matrix_csv(f)
-        assert back.ids == ("a", "b", "c")
-        assert np.array_equal(back.values, m.values)
+    def test_ids_length_must_match_series_count(self):
+        with pytest.raises(ValueError, match="^ids length does not match series count$"):
+            distance_matrix([[1, 2, 3], [3, 2, 1]], m=2, ids=["a"])
 
     def test_entries_bounded(self):
         rng = np.random.default_rng(1)
@@ -534,6 +538,11 @@ class TestSilhouette:
         assert res.widths[4] == pytest.approx((1.0 - 0.25) / 1.0)
         assert -1.0 <= res.widths.min() and res.widths.max() <= 1.0
 
+    def test_assignment_length_must_match_matrix(self):
+        d, _ = block_matrix([2, 2], within=0.1, between=1.0)
+        with pytest.raises(ValueError, match="^assignment length does not match matrix size$"):
+            silhouette(d, np.array([0, 1, 0]))
+
     def test_single_cluster_scores_zero(self):
         d, _ = block_matrix([4], within=0.1, between=1.0)
         res = silhouette(d, np.zeros(4, dtype=int))
@@ -575,6 +584,15 @@ class TestClusterReport:
         assert by_cluster[1].mean_of_series_means == 20.0
         assert by_cluster[1].mean_duration_s == 8.0
 
+    @pytest.mark.parametrize("assignment, labels, message", [
+        ([0, 1], None, "assignment length does not match series count"),
+        ([0, 0, 1], [("Normal", True)], "labels length does not match series count"),
+    ], ids=["assignment", "labels"])
+    def test_lengths_must_match_series_count(self, assignment, labels, message):
+        series = [np.arange(4.0)] * 3
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cluster_report(series, np.array(assignment), np.zeros((3, 3)), labels=labels)
+
     def test_fixture_against_tabulation(self):
         rng = np.random.default_rng(2)
         series = [rng.uniform(0, 50, size=rng.integers(20, 40)) for _ in range(9)]
@@ -611,3 +629,16 @@ class TestDissimilarityMatrixType:
         bad = np.array([[0.0, 2.5], [2.5, 0.0]])
         with pytest.raises(ValueError, match="\\[0, 2\\]"):
             DissimilarityMatrix(("a", "b"), bad)
+
+    def test_shape_must_match_ids(self):
+        with pytest.raises(ValueError, match=r"^matrix shape \(2, 2\) does not match 3 ids$"):
+            DissimilarityMatrix(("a", "b", "c"), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("raw, message", [
+        (np.zeros((2, 3)), "dissimilarity matrix must be square"),
+        (np.array([[0.0, 1.0], [0.5, 0.0]]), "dissimilarity matrix must be symmetric"),
+        (np.array([[0.0, -1.0], [-1.0, 0.0]]), "dissimilarities must be non-negative"),
+    ], ids=["not-square", "asymmetric", "negative"])
+    def test_raw_matrix_checked_where_it_is_taken(self, raw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            silhouette(raw, np.array([0, 1]))

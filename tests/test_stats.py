@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,12 +7,10 @@ from scipy import integrate
 from scipy import stats as scipy_stats
 
 from teamtrace.stats import (
-    AnovaResult,
     f_upper_tail,
     format_p_value,
     one_way_anova,
     regularized_incomplete_beta,
-    write_anova_csv,
 )
 
 
@@ -101,6 +98,15 @@ class TestFUpperTail:
     def test_underflows_to_zero_region(self):
         assert f_upper_tail(67.084, 3, 380) < 2.2e-16
 
+    @pytest.mark.parametrize("f, df1, df2, message", [
+        (1.0, 0, 4, "degrees of freedom must be positive"),
+        (1.0, 2, 0, "degrees of freedom must be positive"),
+        (-0.5, 2, 4, "F statistic cannot be negative"),
+    ], ids=["df1-zero", "df2-zero", "negative-f"])
+    def test_invalid_arguments(self, f, df1, df2, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            f_upper_tail(f, df1, df2)
+
 
 class TestIncompleteBeta:
     def test_bounds(self):
@@ -135,17 +141,3 @@ class TestRendering:
         assert format_p_value(1e-20) == "< 2.2e-16"
         assert format_p_value(0.0) == "< 2.2e-16"
         assert format_p_value(0.5) == "0.5"
-
-    def test_anova_csv(self):
-        buf = io.StringIO()
-        write_anova_csv(
-            buf,
-            [
-                ("zone_change_rate", "tier", AnovaResult(67.084, 3, 380, 0.0)),
-                ("team_distance", "tier", AnovaResult(1.5, 1, 4, 0.2878641347266906)),
-            ],
-        )
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "measure,factor,F,df1,df2,p"
-        assert lines[1] == "zone_change_rate,tier,67.084,3,380,< 2.2e-16"
-        assert lines[2].startswith("team_distance,tier,1.5,1,4,0.2878641347")

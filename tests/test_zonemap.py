@@ -186,7 +186,8 @@ class TestLegend:
     @pytest.mark.parametrize("line, message", [
         ("0 256 0 pit", "legend line 12: color out of 0..255"),
         ("9 9 9 pit", "legend line 12: duplicate zone pit"),
-    ], ids=["color-256", "duplicate-zone"])
+        ("9 x 9 pit", "legend line 12: non-integer color"),
+    ], ids=["color-256", "duplicate-zone", "non-integer-color"])
     def test_bad_line_rejected(self, line, message):
         text = DEFAULT_LEGEND_TEXT.rstrip("\n") + "\n" + line + "\n"
         with pytest.raises(ZoneMapError, match=f"^{re.escape(message)}$"):
