@@ -229,16 +229,14 @@ def cmd_zones(args) -> int:
 
 
 def _series_for(matches: Iterable[_Match], window: int = 1) -> list[measures.LabeledSeries]:
-    """Each match's team series, labeled; a window above 1 smooths them
-    with a trailing moving average."""
+    """Each match's team series, labeled, smoothed with a trailing moving
+    average of ``window`` seconds (window 1 keeps the values)."""
     from . import measures
     labeled = []
     for match in matches:
         for s in _team_series(match):
-            # moving_average(v, 1) is not bit-identical to v
-            if window > 1:
-                values = measures.moving_average(s.values, window)
-                s = measures.DistanceSeries(s.match_id, s.team, values)
+            values = measures.moving_average(s.values, window)
+            s = measures.DistanceSeries(s.match_id, s.team, values)
             labeled.append(measures.LabeledSeries(s, match.tier, s.team is match.winner))
     return labeled
 
@@ -550,7 +548,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("anova", help="one-way ANOVA over tiers and outcomes")
     _add_common(p, meta=True, zone_args=True)
-    p.add_argument("--min-dwell", type=_int_at_least(1), default=cfg.min_dwell_s)
+    p.add_argument("--min-dwell", type=_int_at_least(1), default=cfg.min_dwell_s,
+                   help="seconds a stay must last to count")
     p.set_defaults(fn=cmd_anova)
 
     p = sub.add_parser("cluster", help="permutation-distribution clustering")

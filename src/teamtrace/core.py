@@ -13,7 +13,8 @@ GRID_SIZE = 128
 # Longest match a track array is built for, in seconds (one day): a 1 Hz
 # resample allocates per second, so a longer claimed duration is rejected.
 MAX_DURATION_S = 86_400
-# Most matches synth plans per regime: it holds every stream until it writes.
+# Most matches synth plans per regime; it writes each stream as it makes it
+# and holds one metadata row per match.
 MAX_SYNTH_MATCHES = 10_000
 
 # Defaults of the reference analysis configuration.

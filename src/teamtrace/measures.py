@@ -174,6 +174,8 @@ def moving_average(series, window_s: int = 1) -> np.ndarray:
     if window_s < 1:
         raise ValueError("window must be at least 1 second")
     v = np.asarray(series, dtype=np.float64)
+    if window_s == 1:
+        return v.copy()
     window_s = min(window_s, v.size)  # any longer window averages from the start
     c = np.concatenate(([0.0], np.cumsum(v)))
     t = np.arange(v.size)
@@ -201,9 +203,8 @@ def aggregate_by_category(
     width = int(end - start)
     stack = np.full((len(sel), width), np.nan)
     for i, v in enumerate(sel):
-        if len(v) > start:
-            chunk = v[start:int(end)]
-            stack[i, : len(chunk)] = chunk
+        chunk = v[start:int(end)]
+        stack[i, : len(chunk)] = chunk
     counts = (~np.isnan(stack)).sum(axis=0)
     sums = np.nansum(stack, axis=0)
     # the longest series covers every second of [start, end), so no count is 0

@@ -12,7 +12,8 @@ pattern distributions, which is symmetric and bounded by 2. One kernel
 embeds every series: it concatenates consecutive series into bounded
 batches and codes all windows of a batch with slice comparisons and one
 bincount, so embedding a set is one linear pass over its values for fixed
-m, and an N x N matrix adds one Gram product. The matrix peaks at the
+m, and an N x N matrix adds one Gram product; numpy computes it as one
+symmetric product, so only the diagonal is set. The matrix peaks at the
 (N, m!) root frequencies plus one N x N buffer: the roots are written in
 place and dropped after the product, and the divergences are formed in
 that product's buffer. The m! columns stay, including patterns no series
@@ -165,7 +166,7 @@ class DissimilarityMatrix:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.ascontiguousarray(self.values, dtype=np.float64)
         n = len(self.ids)
         if v.shape != (n, n):
             raise ValueError(f"matrix shape {v.shape} does not match {n} ids")
@@ -208,11 +209,10 @@ def distance_matrix(
         np.sqrt(freqs, out=roots[first : first + len(freqs)])
     d = roots @ roots.T
     del roots
-    # d = clip(triu(2 - 2 * gram) + its transpose, 0, 2), computed in place
+    # d = clip(2 - 2 * gram, 0, 2) with a zero diagonal, computed in place
     np.multiply(d, 2.0, out=d)
     np.subtract(2.0, d, out=d)
-    d = np.triu(d, k=1)
-    d += d.T
+    np.fill_diagonal(d, 0.0)
     np.clip(d, 0.0, 2.0, out=d)
     return DissimilarityMatrix(ids, d)
 
@@ -247,9 +247,12 @@ def min_entropy_dimension(series_set: Sequence, delay: int = 1) -> int:
     return best_m
 
 
-def _as_dissimilarity(matrix) -> np.ndarray:
+def _as_dissimilarity(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix, and the C-contiguous array whose row h is its column h,
+    so row sums add as ``d[:, h].sum()`` does. A ``DissimilarityMatrix`` is
+    exactly symmetric and C-ordered, so it serves as both."""
     if isinstance(matrix, DissimilarityMatrix):
-        return matrix.values
+        return matrix.values, matrix.values
     d = np.asarray(matrix, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("dissimilarity matrix must be square")
@@ -257,7 +260,7 @@ def _as_dissimilarity(matrix) -> np.ndarray:
         raise ValueError("dissimilarity matrix must be symmetric")
     if (d < 0).any():
         raise ValueError("dissimilarities must be non-negative")
-    return d
+    return d, np.ascontiguousarray(d.T)
 
 
 def _tie_argmin(values: np.ndarray, rng: np.random.Generator) -> int:
@@ -277,14 +280,6 @@ class PamResult:
     cost: float = 0.0
 
 
-def _columns(d: np.ndarray) -> np.ndarray:
-    """C-contiguous array whose row h is column h of ``d``: ``d`` itself when
-    it is exactly symmetric. Its row sums add as ``d[:, h].sum()`` does."""
-    if d.flags.c_contiguous and np.array_equal(d, d.T):
-        return d
-    return np.ascontiguousarray(d.T)
-
-
 def pam(matrix, k: int, seed: int = 0) -> PamResult:
     """Partitioning around medoids: greedy BUILD then best-improvement
     SWAP to a local optimum of total dissimilarity to the nearest medoid.
@@ -292,7 +287,7 @@ def pam(matrix, k: int, seed: int = 0) -> PamResult:
     Deterministic for a given matrix; the seed only breaks exact ties.
     BUILD steps and SWAP medoids each score all candidates in one array pass.
     """
-    d = _as_dissimilarity(matrix)
+    d, cols = _as_dissimilarity(matrix)
     n = d.shape[0]
     if not 2 <= k <= n:
         raise ValueError(f"k must be in [2, {n}], got {k}")
@@ -301,7 +296,6 @@ def pam(matrix, k: int, seed: int = 0) -> PamResult:
     if k == n:
         medoids = tuple(range(n))
         return PamResult(medoids, np.arange(n), 0.0)
-    cols = _columns(d)
     work = np.empty_like(cols)
 
     # BUILD: start from the most central point, then repeatedly add the
@@ -388,7 +382,7 @@ def fanny(
     sequence never increases (a sweep that would increase it due to
     numerical noise is rolled back and treated as converged).
     """
-    d = _as_dissimilarity(matrix)
+    d, cols = _as_dissimilarity(matrix)
     n = d.shape[0]
     if not 2 <= k < n:
         raise ValueError(f"k must be in [2, {n - 1}], got {k}")
@@ -402,7 +396,6 @@ def fanny(
     powers, s, t, num, objective = _fanny_state(d, u, r)
     trace = [objective]
     sharp = 1.0 / (r - 1.0)
-    cols = _columns(d)
     step = np.empty((k, n))
 
     converged = False
@@ -483,7 +476,7 @@ def silhouette(matrix, assignment) -> SilhouetteResult:
     Members of singleton clusters score 0, and so does every point of a
     one-cluster assignment, which has no other cluster to give b.
     """
-    d = _as_dissimilarity(matrix)
+    d, _ = _as_dissimilarity(matrix)
     labels = np.asarray(assignment)
     if labels.shape != (d.shape[0],):
         raise ValueError("assignment length does not match matrix size")

@@ -102,7 +102,7 @@ def min_entropy_dimension(series_set, m_values=range(2, 8), delay: int = 1) -> i
 
 
 def pam(matrix, k: int, seed: int = 0) -> PamResult:
-    d = _as_dissimilarity(matrix)
+    d, _ = _as_dissimilarity(matrix)
     n = d.shape[0]
     if not 2 <= k <= n:
         raise ValueError(f"k must be in [2, {n}], got {k}")
@@ -173,7 +173,7 @@ def fanny(
     max_iter: int = 500,
     seed: int = 0,
 ) -> FuzzyResult:
-    d = _as_dissimilarity(matrix)
+    d, _ = _as_dissimilarity(matrix)
     n = d.shape[0]
     if not 2 <= k < n:
         raise ValueError(f"k must be in [2, {n - 1}], got {k}")
@@ -247,7 +247,7 @@ def fanny(
 
 
 def silhouette(matrix, assignment) -> SilhouetteResult:
-    d = _as_dissimilarity(matrix)
+    d, _ = _as_dissimilarity(matrix)
     labels = np.asarray(assignment)
     if labels.shape != (d.shape[0],):
         raise ValueError("assignment length does not match matrix size")

@@ -296,6 +296,9 @@ class TestMovingAverage:
     def test_window_one_is_identity(self):
         v = [3.0, 1.0, 4.0, 1.0, 5.0]
         assert np.array_equal(moving_average(v, 1), np.asarray(v))
+        # a difference of running sums rounds most random floats
+        u = np.random.default_rng(0).uniform(size=2701)
+        assert np.array_equal(moving_average(u, 1), u)
 
     def test_trailing_window_two(self):
         assert moving_average([0, 10, 20], 2).tolist() == [0.0, 5.0, 15.0]

@@ -219,16 +219,18 @@ class TestDistanceMatrix:
         m = distance_matrix([rng.normal(size=30) for _ in range(6)], m=3)
         assert (m.values >= 0).all() and (m.values <= 2).all()
 
-    def test_peak_memory_is_the_roots_plus_one_matrix(self):
+    @pytest.mark.parametrize("n, m", [(600, 7), (1000, 3)])
+    def test_peak_memory_is_the_roots_plus_one_matrix(self, n, m):
         # the lib_many shape: 600 series of 301 values at m = 7, where the
-        # (600, 5040) root-frequency matrix is 24 MB and the result 2.9 MB
-        series = planted_series(600, 301, seed=600)
-        n = len(series)
-        roots_nbytes = n * math.factorial(7) * 8
+        # (600, 5040) root-frequency matrix is 24 MB and the result 2.9 MB;
+        # at 1000 series and m = 3 the roots take 48 KB and the result 8 MB,
+        # so a second n x n buffer would cross the bound
+        series = planted_series(n, 301, seed=n)
+        roots_nbytes = n * math.factorial(m) * 8
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            distance_matrix(series, m=7)
+            distance_matrix(series, m=m)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

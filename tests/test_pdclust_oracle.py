@@ -2,10 +2,17 @@
 ``pdclust_oracle`` bit for bit: pattern frequencies, divergence matrices,
 the minimum-entropy dimension, PAM medoids, labels and costs, FANNY
 memberships, traces and starting partitions, and silhouette widths."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import pdclust_oracle as oracle
+import teamtrace
 from teamtrace.pdclust import (
     distance_matrix,
     fanny,
@@ -84,6 +91,56 @@ def test_planted_set_matrix_and_dimension_match_oracle():
         assert same_bytes(got, oracle.distance_matrix(series, dim).values)
 
 
+# distance_matrix sets only the diagonal: numpy computes roots @ roots.T as
+# one symmetric product, so the lower triangle equals the upper one. Each
+# child below checks that against the oracle's triangle form on another
+# dispatch path, and prints the numpy SIMD targets it ran with.
+_MATRIX_IN_CHILD = """
+import json
+import numpy as np
+import pdclust_oracle as oracle
+from teamtrace.pdclust import distance_matrix
+from test_pdclust_oracle import _simd_targets
+rng = np.random.default_rng(22)
+for n, length, m in ((600, 301, 5), (7, 40, 3)):
+    series = list(rng.normal(size=(n, length)))
+    got = distance_matrix(series, m=m).values
+    assert got.tobytes() == oracle.distance_matrix(series, m).values.tobytes(), (n, m)
+print(json.dumps(_simd_targets()))
+"""
+
+
+def _simd_targets():
+    """numpy's dispatch targets that this host runs, and the AVX-512 ones."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    active = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    return active, [t for t in active if "512" in t or t == "X86_V4"]
+
+
+@pytest.mark.parametrize("path", ["avx512-off", "openblas-Nehalem", "openblas-Prescott"])
+def test_matrix_matches_triangle_form_on_other_dispatch_paths(path):
+    # the tests directory and this checkout's package first on PYTHONPATH
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        str(Path(__file__).parent), str(Path(teamtrace.__file__).parents[1]),
+        os.environ.get("PYTHONPATH"),
+    )))}
+    avx512 = _simd_targets()[1]
+    if path == "avx512-off":
+        if not avx512:
+            pytest.skip("numpy dispatches to no AVX-512 target on this host")
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(avx512)
+    else:
+        env["OPENBLAS_CORETYPE"] = path.split("-")[1]
+    proc = subprocess.run([sys.executable, "-c", _MATRIX_IN_CHILD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    active, child_avx512 = json.loads(proc.stdout)
+    assert child_avx512 == ([] if path == "avx512-off" else avx512), active
+
+
 def test_dimension_choice_on_mixed_lengths_matches_oracle():
     for seed in range(3):
         series = mixed_series(seed)
@@ -148,6 +205,18 @@ def test_pam_and_fanny_on_tie_heavy_matrices_match_oracle(seed):
         for k in sorted({*range(2, min(5, n - 1) + 1), n - 1}):
             assert_same_fanny(d, k=k, seed=seed, max_iter=40)
     assert_same_pam(np.zeros((7, 7)), 3, seed)
+
+
+@pytest.mark.parametrize("seed, n, k, r", [(4, 8, 4, 2.0), (5, 6, 3, 3.0), (7, 8, 3, 2.0)])
+def test_fanny_rollback_matches_oracle(seed, n, k, r):
+    # a sweep that would raise the objective is undone and ends the run, so
+    # the trace has no entry for it: n_iter entries, where a stop on
+    # tolerance leaves n_iter + 1
+    rng = np.random.default_rng(seed)
+    d = {size: tie_heavy_matrix(rng, size) for size in (6, 8)}[n]
+    res = assert_same_fanny(d, k=k, r=r)
+    assert res.converged
+    assert len(res.objective_trace) == res.n_iter
 
 
 def test_pam_and_fanny_on_raw_nearly_symmetric_array_match_oracle():
