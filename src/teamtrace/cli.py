@@ -89,11 +89,6 @@ def _read(path, reader):
         raise ValueError(f"{path}: {e}") from None
 
 
-def _read_meta(path: str) -> dict[int, tickstream.MatchMeta]:
-    from . import tickstream
-    return _read(path, tickstream.read_metadata_csv)
-
-
 class _Match(NamedTuple):
     """One trajectory file, with its metadata row if the command takes --meta."""
 
@@ -107,7 +102,7 @@ class _Match(NamedTuple):
 def _load_matches(args) -> list[_Match]:
     """Each trajectory file read once as one full-lineup match, by match id."""
     from . import tickstream
-    meta = _read_meta(args.meta) if "meta" in args else None
+    meta = _read(args.meta, tickstream.read_metadata_csv) if "meta" in args else None
     source: dict[int, Path] = {}
     matches = []
     for path in _trajectory_files(args.trajectories):
@@ -126,15 +121,17 @@ def _load_matches(args) -> list[_Match]:
     return sorted(matches, key=lambda m: m.match_id)
 
 
-def _team_series(match: _Match) -> list[measures.DistanceSeries]:
-    """One distance series per team, Radiant first."""
+def _team_series(match: _Match, window: int = 1) -> list[measures.LabeledSeries]:
+    """One labeled distance series per team, Radiant first, smoothed with a
+    trailing moving average of ``window`` seconds (window 1 keeps the values)."""
     from . import measures
     teams = np.array([team.value for team, _ in match.players])
-    return [
-        measures.DistanceSeries(
-            match.match_id, team, measures.distance_values(match.cells[teams == team.value]))
-        for team in Team
-    ]
+    labeled = []
+    for team in Team:
+        values = measures.distance_values(match.cells[teams == team.value])
+        s = measures.DistanceSeries(match.match_id, team, measures.moving_average(values, window))
+        labeled.append(measures.LabeledSeries(s, match.tier, team is match.winner))
+    return labeled
 
 
 def _player_stats(match: _Match, zmap: ZoneMap, min_dwell_s: int):
@@ -187,7 +184,7 @@ def cmd_ingest(args) -> int:
     wins over the stream's last standardized second."""
     from . import tickstream
     out = _out_dir(args)
-    meta = _read_meta(args.meta) if args.meta else {}
+    meta = _read(args.meta, tickstream.read_metadata_csv) if args.meta else {}
     durations = {mid: m.duration_s for mid, m in meta.items()}
     paths = sorted(args.streams)
 
@@ -228,38 +225,23 @@ def cmd_zones(args) -> int:
     return EXIT_OK
 
 
-def _series_for(matches: Iterable[_Match], window: int = 1) -> list[measures.LabeledSeries]:
-    """Each match's team series, labeled, smoothed with a trailing moving
-    average of ``window`` seconds (window 1 keeps the values)."""
-    from . import measures
-    labeled = []
-    for match in matches:
-        for s in _team_series(match):
-            values = measures.moving_average(s.values, window)
-            s = measures.DistanceSeries(s.match_id, s.team, values)
-            labeled.append(measures.LabeledSeries(s, match.tier, s.team is match.winner))
-    return labeled
-
-
 def cmd_distance(args) -> int:
     matches = _load_matches(args)
     _write_csv(_out_dir(args) / "distance_series.csv", "match_id,team,t,d", (
-        "".join([f"{prefix}{t},{d!r}\n" for t, d in enumerate(s.values.tolist())])
-        for match in matches for s in _team_series(match)
-        for prefix in [f"{s.match_id},{s.team!s},"]
+        "".join([f"{prefix}{t},{d!r}\n" for t, d in enumerate(ls.series.values.tolist())])
+        for match in matches for ls in _team_series(match)
+        for prefix in [f"{match.match_id},{ls.series.team!s},"]
     ))
     return EXIT_OK
 
 
 def cmd_phases(args) -> int:
     from . import measures
-    labeled = _series_for(_load_matches(args), args.window)
-    categories = [(tier, won) for tier in SkillTier for won in (True, False)
-                  if any(ls.tier is tier and ls.won == won for ls in labeled)]
+    labeled = [ls for match in _load_matches(args) for ls in _team_series(match, args.window)]
     _write_csv(_out_dir(args) / "phase_aggregates.csv", "tier,outcome,phase,t,mean_d,n_matches", (
         "".join([f"{prefix}{t},{mean_d!r},{n}\n"
                  for t, mean_d, n in measures.aggregate_by_category(labeled, tier, won, phase)])
-        for tier, won in categories for phase in Phase
+        for tier in SkillTier for won in (True, False) for phase in Phase
         for prefix in [f"{tier!s},{'win' if won else 'loss'},{phase!s},"]
     ))
     return EXIT_OK
@@ -274,8 +256,8 @@ def cmd_anova(args) -> int:
     for match in _load_matches(args):
         samples += [("zone_change_rate", match.tier, team is match.winner, st.rate_per_min)
                     for team, st in _player_stats(match, zmap, args.min_dwell)]
-        samples += [("team_distance", match.tier, s.team is match.winner, float(s.values.mean()))
-                    for s in _team_series(match)]
+        samples += [("team_distance", match.tier, ls.won, float(ls.series.values.mean()))
+                    for ls in _team_series(match)]
 
     rows = []
     for factor, at, levels in (("tier", 1, tuple(SkillTier)), ("outcome", 2, (True, False))):
@@ -309,7 +291,7 @@ def cmd_anova(args) -> int:
 
 def cmd_cluster(args) -> int:
     from . import pdclust
-    labeled = _series_for(_load_matches(args))
+    labeled = [ls for match in _load_matches(args) for ls in _team_series(match)]
     series = [ls.series.values for ls in labeled]
     ids = [f"{ls.series.match_id}:{ls.series.team}" for ls in labeled]
     facet_labels = [(ls.tier, ls.won) for ls in labeled]
@@ -500,6 +482,8 @@ def _add_common(p: _Parser, *, meta: bool = False, zone_args: bool = False) -> N
     if zone_args:
         p.add_argument("--map", dest="zone_map", help="zone pixmap (P3/P6 PPM)")
         p.add_argument("--legend", help="zone legend text file")
+        p.add_argument("--min-dwell", type=_int_at_least(1), default=RunConfig.min_dwell_s,
+                       help="seconds a stay must last to count")
     p.add_argument("-o", "--out", default=".", help="output directory")
 
 
@@ -532,8 +516,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("zones", help="per-player zone-change table")
     _add_common(p, meta=True, zone_args=True)
-    p.add_argument("--min-dwell", type=_int_at_least(1), default=cfg.min_dwell_s,
-                   help="seconds a stay must last to count")
     p.set_defaults(fn=cmd_zones)
 
     p = sub.add_parser("distance", help="per-second intra-team distance series")
@@ -548,8 +530,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("anova", help="one-way ANOVA over tiers and outcomes")
     _add_common(p, meta=True, zone_args=True)
-    p.add_argument("--min-dwell", type=_int_at_least(1), default=cfg.min_dwell_s,
-                   help="seconds a stay must last to count")
     p.set_defaults(fn=cmd_anova)
 
     p = sub.add_parser("cluster", help="permutation-distribution clustering")
@@ -583,11 +563,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("zonemap-draft", help="draft zone map from observed cells")
-    p.add_argument("--trajectories", nargs="+", required=True)
+    _add_common(p)
     p.add_argument("--legend", help="legend supplying the draft colors")
     p.add_argument("--provisional", type=_provisional_zone, default=str(ZoneLabel.JUNGLE),
                    help="zone name painted on visited cells")
-    p.add_argument("-o", "--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_zonemap_draft)
 
     return parser, sub.choices

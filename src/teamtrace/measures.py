@@ -190,14 +190,12 @@ def aggregate_by_category(
     phase window.
 
     Returns (t, mean_d, n_matches) rows; at each second only the series
-    still running contribute, so short matches drop out of the tail.
+    still running contribute, so short matches drop out of the tail. A
+    category with no series gives no rows.
     """
     sel = [ls.series.values for ls in labeled if ls.tier is tier and ls.won == won]
-    if not sel:
-        raise ValueError(f"empty category: tier={tier}, won={won}")
     start, end = phase_window(phase)
-    longest = max(len(v) for v in sel)
-    end = min(end, longest)
+    end = min(end, max((len(v) for v in sel), default=0))
     if end <= start:
         return []
     width = int(end - start)

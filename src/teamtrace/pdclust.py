@@ -289,6 +289,8 @@ def pam(matrix, k: int, seed: int = 0) -> PamResult:
     """
     d, cols = _as_dissimilarity(matrix)
     n = d.shape[0]
+    if n < 2:
+        raise ValueError(f"pam needs at least 2 series to cluster, got {n}")
     if not 2 <= k <= n:
         raise ValueError(f"k must be in [2, {n}], got {k}")
     rng = np.random.default_rng(seed)
@@ -340,8 +342,6 @@ def pam(matrix, k: int, seed: int = 0) -> PamResult:
 class FuzzyResult:
     """Fuzzy membership clustering of a dissimilarity matrix."""
 
-    k: int
-    r: float
     memberships: np.ndarray = field(repr=False)
     objective: float
     crisp: np.ndarray = field(repr=False)
@@ -384,6 +384,8 @@ def fanny(
     """
     d, cols = _as_dissimilarity(matrix)
     n = d.shape[0]
+    if n < 3:
+        raise ValueError(f"fanny needs at least 3 series to cluster, got {n}")
     if not 2 <= k < n:
         raise ValueError(f"k must be in [2, {n - 1}], got {k}")
     if not (math.isfinite(r) and r > 1.0):
@@ -459,7 +461,7 @@ def fanny(
     u.setflags(write=False)
     crisp = np.argmax(u, axis=1)
     crisp.setflags(write=False)
-    return FuzzyResult(k, r, u, trace[-1], crisp, converged, sweeps, tuple(trace), start)
+    return FuzzyResult(u, trace[-1], crisp, converged, sweeps, tuple(trace), start)
 
 
 @dataclass(frozen=True)

@@ -161,16 +161,10 @@ def _team_positions(
     spans = np.diff(np.asarray(event_secs + [length]))
     timeline = np.repeat(anchors, spans, axis=0).transpose(1, 0, 2)
 
-    jitter_sigma = min(0.7, params.spread_sigma / 3.0)
-    if jitter_sigma > 0:
-        # redrawn every other second: halves the update traffic without
-        # changing dispersion
-        half = (length + 1) // 2
-        jitter = rng.normal(0.0, jitter_sigma, size=(n, half, 2))
-        jitter = np.repeat(jitter, 2, axis=1)[:, :length, :]
-        continuous = timeline + jitter
-    else:
-        continuous = timeline.astype(np.float64)
+    # redrawn every other second: halves the update traffic without
+    # changing dispersion (a zero sigma draws zeros)
+    jitter = rng.normal(0.0, min(0.7, params.spread_sigma / 3.0), size=(n, (length + 1) // 2, 2))
+    continuous = timeline + np.repeat(jitter, 2, axis=1)[:, :length, :]
 
     cells = np.clip(np.rint(continuous), 0, 127)
     offsets = (continuous - cells).astype(np.float32)

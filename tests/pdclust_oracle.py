@@ -243,7 +243,7 @@ def fanny(
     u.setflags(write=False)
     crisp = np.argmax(u, axis=1)
     crisp.setflags(write=False)
-    return FuzzyResult(k, r, u, trace[-1], crisp, converged, sweeps, tuple(trace), start)
+    return FuzzyResult(u, trace[-1], crisp, converged, sweeps, tuple(trace), start)
 
 
 def silhouette(matrix, assignment) -> SilhouetteResult:

@@ -469,6 +469,19 @@ class TestAnalysisCommands:
 
         assert total(loose) >= total(strict)
 
+    @pytest.mark.parametrize("flags", [[], ["--k", "2"]], ids=["default-k", "k-2"])
+    def test_cluster_of_one_match_names_the_series_count(self, workspace, tmp_path, capsys,
+                                                         flags):
+        one = sorted((workspace / "traj").glob("*.csv"))[0]
+        out = tmp_path / "o"
+        assert main([
+            "cluster", "--trajectories", str(one),
+            "--meta", str(workspace / "streams" / "matches.csv"), *flags, "-o", str(out),
+        ]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "teamtrace: error: fanny needs at least 3 series to cluster, got 2\n")
+        assert not out.exists()
+
     def test_cluster_k_one_is_usage_error(self, workspace):
         assert main([
             "cluster", "--trajectories", str(workspace / "traj"),

@@ -340,9 +340,10 @@ class TestAggregate:
         assert rows[:3] == [(0, 5.0, 2), (1, 5.0, 2), (2, 5.0, 2)]
         assert rows[3:] == [(3, 8.0, 1), (4, 8.0, 1)]
 
-    def test_empty_category_rejected(self):
-        with pytest.raises(ValueError, match="empty category"):
-            aggregate_by_category([_ls([1.0])], SkillTier.PROFESSIONAL, True, Phase.EARLY)
+    @pytest.mark.parametrize("phase", list(Phase))
+    def test_empty_category_yields_no_rows(self, phase):
+        assert aggregate_by_category([_ls([1.0] * 3000)], SkillTier.PROFESSIONAL, True, phase) == []
+        assert aggregate_by_category([], SkillTier.NORMAL, False, phase) == []
 
     def test_phase_windows_partition_the_series(self):
         long = _ls([1.0] * 2000)

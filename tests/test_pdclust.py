@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from teamtrace.core import DEFAULT_MEMBERSHIP_EXPONENT
 from teamtrace.pdclust import (
     DissimilarityMatrix,
     PermDistribution,
@@ -359,6 +360,12 @@ class TestPam:
             with pytest.raises(ValueError):
                 pam(d, k=k)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_object_names_the_count_not_an_empty_k_range(self, k):
+        with pytest.raises(ValueError) as excinfo:
+            pam(np.zeros((1, 1)), k=k)
+        assert str(excinfo.value) == "pam needs at least 2 series to cluster, got 1"
+
     def test_seed_only_breaks_ties(self):
         d, _ = block_matrix([4, 4], within=0.05, between=1.0, rng=np.random.default_rng(3))
         a, b = pam(d, k=2, seed=1), pam(d, k=2, seed=99)
@@ -406,7 +413,7 @@ class TestFanny:
         res = fanny(d, k=3)
         crisp_pam = pam(d, k=3)
         assert as_partition(res.crisp) == as_partition(crisp_pam.labels)
-        direct = fanny_objective_direct(d, res.memberships, res.r)
+        direct = fanny_objective_direct(d, res.memberships, DEFAULT_MEMBERSHIP_EXPONENT)
         assert res.objective == pytest.approx(direct, rel=1e-12)
 
     def test_rows_sum_to_one(self):
@@ -449,6 +456,12 @@ class TestFanny:
         for r in (math.nan, math.inf):
             with pytest.raises(ValueError, match="membership exponent must be finite"):
                 fanny(d, k=2, r=r)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_two_objects_name_the_count_not_an_empty_k_range(self, k):
+        with pytest.raises(ValueError) as excinfo:
+            fanny(np.array([[0.0, 0.5], [0.5, 0.0]]), k=k)
+        assert str(excinfo.value) == "fanny needs at least 3 series to cluster, got 2"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r", [2500.0, 1e308])
