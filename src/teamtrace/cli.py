@@ -180,7 +180,8 @@ def _write_json(path: Path, doc) -> None:
 
 
 def cmd_ingest(args) -> int:
-    """Decode each stream and write its trajectory CSV. A recorded duration
+    """Decode each stream of ten players, five per team, and write its
+    trajectory CSV; any other lineup fails the stream. A recorded duration
     wins over the stream's last standardized second."""
     from . import tickstream
     out = _out_dir(args)
@@ -193,6 +194,7 @@ def cmd_ingest(args) -> int:
     for path in paths:
         try:
             header, cells = tickstream.tracks_from_stream(Path(path).read_bytes(), durations)
+            check_lineup([slot.team for slot in header.players])
         except (OSError, ValueError) as e:
             errors.append(f"{path}: {e}")
             continue
@@ -484,7 +486,6 @@ def _add_common(p: _Parser, *, meta: bool = False, zone_args: bool = False) -> N
         p.add_argument("--legend", help="zone legend text file")
         p.add_argument("--min-dwell", type=_int_at_least(1), default=RunConfig.min_dwell_s,
                        help="seconds a stay must last to count")
-    p.add_argument("-o", "--out", default=".", help="output directory")
 
 
 def _set_config_defaults(command: _Parser, settings: dict[str, str]) -> None:
@@ -511,7 +512,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub.add_parser("ingest", help="decode DTL2 streams to trajectory CSVs")
     p.add_argument("streams", nargs="+", help="DTL2 files")
     p.add_argument("--meta", help="metadata CSV fixing each match's duration")
-    p.add_argument("-o", "--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("zones", help="per-player zone-change table")
@@ -559,7 +559,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="TIER:SIGMA:RATE, repeatable (default: three planted tiers)")
     p.add_argument("--map", dest="zone_map", help="zone pixmap (P3/P6 PPM)")
     p.add_argument("--legend", help="zone legend text file")
-    p.add_argument("-o", "--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("zonemap-draft", help="draft zone map from observed cells")
@@ -569,6 +568,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="zone name painted on visited cells")
     p.set_defaults(fn=cmd_zonemap_draft)
 
+    for p in sub.choices.values():
+        p.add_argument("-o", "--out", default=".", help="output directory")
     return parser, sub.choices
 
 
@@ -584,14 +585,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as e:
             return int(e.code or 0)
         return args.fn(args)
-    except UsageError as e:
-        print(f"teamtrace: error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, MemoryError) as e:
+    except (UsageError, ValueError, OSError, MemoryError) as e:
         if isinstance(e, MemoryError):  # str(MemoryError()) can be empty
             e = f"{argv[0] if argv else 'teamtrace'} ran out of memory"
         print(f"teamtrace: error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(e, UsageError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ class PermDistribution:
     freqs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _check_embedding(self.m, self.delay)
         f = np.asarray(self.freqs, dtype=np.float64)
         if f.shape != (_FACTORIAL[self.m],):
             raise ValueError(f"expected {_FACTORIAL[self.m]} frequencies for m={self.m}")
@@ -268,11 +269,6 @@ def _tie_argmin(values: np.ndarray, rng: np.random.Generator) -> int:
     return int(ties[0] if ties.size == 1 else rng.choice(ties))
 
 
-def _tie_argmax(values: np.ndarray, rng: np.random.Generator) -> int:
-    ties = np.flatnonzero(values == values.max())
-    return int(ties[0] if ties.size == 1 else rng.choice(ties))
-
-
 @dataclass(frozen=True)
 class PamResult:
     medoids: tuple[int, ...]
@@ -308,7 +304,7 @@ def pam(matrix, k: int, seed: int = 0) -> PamResult:
     while len(selected) < k:
         gains = np.maximum(np.subtract(nearest, cols, out=work), 0.0, out=work).sum(axis=1)
         gains[selected] = -np.inf
-        pick = _tie_argmax(gains, rng)
+        pick = _tie_argmin(-gains, rng)  # negation is exact: same ties, same draw
         selected.append(pick)
         nearest = np.minimum(nearest, cols[pick])
 
@@ -426,9 +422,8 @@ def fanny(
                 raise ValueError(f"membership exponent r={r} too large: all cluster mass underflows")
             if amin <= 0:
                 row = np.zeros(k)
-                finite = [x for x in a if x != math.inf]
-                if max(finite) - amin <= 1e-15 and len(finite) == k:
-                    row[:] = 1.0 / k  # fully degenerate: no direction preferred
+                if max(a) - amin <= 1e-15:  # no direction preferred, no cluster starved
+                    row[:] = 1.0 / k
                 else:
                     row[a.index(amin)] = 1.0
             else:

@@ -166,7 +166,7 @@ def _team_positions(
     jitter = rng.normal(0.0, min(0.7, params.spread_sigma / 3.0), size=(n, (length + 1) // 2, 2))
     continuous = timeline + np.repeat(jitter, 2, axis=1)[:, :length, :]
 
-    cells = np.clip(np.rint(continuous), 0, 127)
+    cells = np.clip(np.rint(continuous), 0, GRID_SIZE - 1)
     offsets = (continuous - cells).astype(np.float32)
     return cells.astype(np.uint8), offsets
 

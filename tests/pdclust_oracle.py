@@ -27,8 +27,6 @@ from teamtrace.pdclust import (
     PermDistribution,
     SilhouetteResult,
     _as_dissimilarity,
-    _tie_argmax,
-    _tie_argmin,
     min_series_length,
 )
 
@@ -99,6 +97,16 @@ def min_entropy_dimension(series_set, m_values=range(2, 8), delay: int = 1) -> i
         if h < best_h - 1e-15:
             best_m, best_h = m, float(h)
     return best_m
+
+
+def _tie_argmin(values: np.ndarray, rng: np.random.Generator) -> int:
+    ties = np.flatnonzero(values == values.min())
+    return int(ties[0] if ties.size == 1 else rng.choice(ties))
+
+
+def _tie_argmax(values: np.ndarray, rng: np.random.Generator) -> int:
+    ties = np.flatnonzero(values == values.max())
+    return int(ties[0] if ties.size == 1 else rng.choice(ties))
 
 
 def pam(matrix, k: int, seed: int = 0) -> PamResult:

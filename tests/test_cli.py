@@ -120,6 +120,22 @@ class TestSynthAndIngest:
         assert str(again) in err[0] and str(first) in err[0]
         assert [p.name for p in out.iterdir()] == ["1.csv"]
 
+    def test_stream_without_five_per_side_is_partial_failure(self, tmp_path, capsys):
+        # the header rules of decode accept this lineup; no analysis command does
+        keyframe = tickstream.Frame(
+            0, tuple(tickstream.FrameUpdate(i, 1, 2, 0.0, 0.0) for i in range(10)))
+        good, lopsided = tmp_path / "8.dtl2", tmp_path / "9.dtl2"
+        good.write_bytes(tickstream.encode(make_header(match_id=8), [keyframe]))
+        slots = make_header().players
+        six_four = tickstream.StreamHeader(
+            9, (*slots[:5], slots[5]._replace(team=Team.RADIANT), *slots[6:]))
+        lopsided.write_bytes(tickstream.encode(six_four, [keyframe]))
+        out = tmp_path / "out"
+        assert main(["ingest", str(good), str(lopsided), "-o", str(out)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == (
+            f"error: {lopsided}: expected 5 players for Radiant, got 6\n")
+        assert [p.name for p in out.iterdir()] == ["8.csv"]
+
     def test_duration_past_limit_is_one_line_data_error(self, workspace, tmp_path, capsys):
         # a keyframe, then an empty frame at the last tick: 2**32 - 1 ticks
         # of 65535 ms standardize to 281470681678 s

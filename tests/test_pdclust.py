@@ -129,6 +129,18 @@ class TestPermDistribution:
         with pytest.raises(ValueError, match="finite"):
             perm_distribution([1.0, float("inf"), 2.0, 3.0], m=2)
 
+    # each case passes m! frequencies (5040 at m = -1, where a lookup in the
+    # factorial table wraps to its last entry), so only the embedding is wrong
+    @pytest.mark.parametrize("m, delay, n_freqs, message", [
+        (8, 1, 40320, "embedding dimension m must be in [2,7]"),
+        (-1, 1, 5040, "embedding dimension m must be in [2,7]"),
+        (1, 1, 1, "embedding dimension m must be in [2,7]"),
+        (3, 0, 6, "delay must be at least 1"),
+    ], ids=["m8", "m-1", "m1", "delay0"])
+    def test_bad_embedding_rejected(self, m, delay, n_freqs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PermDistribution(m, delay, np.full(n_freqs, 1.0 / n_freqs))
+
     def test_delay_stretches_the_window(self):
         # delay 2 over [1,9,2,8,3]: windows [1,2,3] and [9,8] patterns
         dist = perm_distribution([1, 9, 2, 8, 3], m=2, delay=2)
