@@ -23,7 +23,7 @@ import numpy as np
 from .core import (
     DEFAULT_CLUSTER_COUNT, DEFAULT_EMBED_DIM, DEFAULT_MEMBERSHIP_EXPONENT, DEFAULT_MIN_DWELL_S,
     GRID_SIZE, MAX_DURATION_S, MAX_EMBED_DIM, MAX_SYNTH_MATCHES, MIN_EMBED_DIM, Phase, SkillTier,
-    Team, check_lineup,
+    Team, check_lineup, outcome,
 )
 from .zonemap import (
     ZoneLabel, ZoneMap, draft_zone_map, load_zone_map, p6_bytes, parse_legend, render_zone_map,
@@ -94,7 +94,7 @@ class _Match(NamedTuple):
 
     match_id: int
     players: tuple[tuple[Team, int], ...]  # (team, player_id) per cells row
-    cells: np.ndarray  # (10, T+1, 2) uint8
+    cells: np.ndarray  # (PLAYER_COUNT, T+1, 2) uint8
     tier: SkillTier | None = None
     winner: Team | None = None
 
@@ -182,18 +182,20 @@ def _write_json(path: Path, doc) -> None:
 def cmd_ingest(args) -> int:
     """Decode each stream of ten players, five per team, and write its
     trajectory CSV; any other lineup fails the stream. A recorded duration
-    wins over the stream's last standardized second."""
+    wins over the stream's last standardized second: a written stream whose
+    updates run past it gets one stderr line with the count dropped and the
+    first dropped second."""
     from . import tickstream
     out = _out_dir(args)
     meta = _read(args.meta, tickstream.read_metadata_csv) if args.meta else {}
     durations = {mid: m.duration_s for mid, m in meta.items()}
     paths = sorted(args.streams)
 
-    errors = []
+    errors, drops = [], []
     source: dict[int, str] = {}
     for path in paths:
         try:
-            header, cells = tickstream.tracks_from_stream(Path(path).read_bytes(), durations)
+            header, cells, late = tickstream._resample(Path(path).read_bytes(), durations)
             check_lineup([slot.team for slot in header.players])
         except (OSError, ValueError) as e:
             errors.append(f"{path}: {e}")
@@ -205,10 +207,13 @@ def cmd_ingest(args) -> int:
         source[header.match_id] = path
         with open(out / f"{header.match_id}.csv", "w") as f:
             tickstream.write_trajectory_csv(header, cells, f)
+        if late.size:
+            drops.append(f"{path}: dropped {late.size} updates past the recorded "
+                         f"{cells.shape[1] - 1} s, the first at second {late[0]}")
     if len(errors) == len(paths):
         raise ValueError(f"no stream ingested ({len(errors)} failed); first: {errors[0]}")
-    for err in errors:
-        print(f"error: {err}", file=sys.stderr)
+    for line in drops + [f"error: {err}" for err in errors]:
+        print(line, file=sys.stderr)
     return EXIT_PARTIAL if errors else EXIT_OK
 
 
@@ -244,7 +249,7 @@ def cmd_phases(args) -> int:
         "".join([f"{prefix}{t},{mean_d!r},{n}\n"
                  for t, mean_d, n in measures.aggregate_by_category(labeled, tier, won, phase)])
         for tier in SkillTier for won in (True, False) for phase in Phase
-        for prefix in [f"{tier!s},{'win' if won else 'loss'},{phase!s},"]
+        for prefix in [f"{tier!s},{outcome(won)},{phase!s},"]
     ))
     return EXIT_OK
 

@@ -1,5 +1,5 @@
 """Shared domain types and rules: the grid, teams, skill tiers, match
-phases, the ten-player lineup and the run defaults.
+outcomes and phases, the ten-player lineup and the run defaults.
 
 Everything in this module is immutable.
 """
@@ -9,6 +9,8 @@ import math
 from enum import Enum
 
 GRID_SIZE = 128
+TEAM_SIZE = 5
+PLAYER_COUNT = 2 * TEAM_SIZE
 
 # Longest match a track array is built for, in seconds (one day): a 1 Hz
 # resample allocates per second, so a longer claimed duration is rejected.
@@ -73,6 +75,11 @@ class Phase(Enum):
         return self.value
 
 
+def outcome(won: bool) -> str:
+    """The word reports write for a team's result."""
+    return "win" if won else "loss"
+
+
 def phase_window(phase: Phase) -> tuple[int, float]:
     """Half-open [start, end) second interval covered by a phase."""
     if phase is Phase.EARLY:
@@ -84,10 +91,10 @@ def phase_window(phase: Phase) -> tuple[int, float]:
 
 def check_lineup(teams) -> None:
     """Raise ValueError unless ``teams`` (one Team per player slot) is a
-    full match lineup: ten players, five per side."""
-    if len(teams) != 10:
-        raise ValueError(f"a match has 10 players, got {len(teams)}")
+    full match lineup: PLAYER_COUNT players, TEAM_SIZE per side."""
+    if len(teams) != PLAYER_COUNT:
+        raise ValueError(f"a match has {PLAYER_COUNT} players, got {len(teams)}")
     for side in Team:
         n = sum(1 for team in teams if team is side)
-        if n != 5:
-            raise ValueError(f"expected 5 players for {side}, got {n}")
+        if n != TEAM_SIZE:
+            raise ValueError(f"expected {TEAM_SIZE} players for {side}, got {n}")

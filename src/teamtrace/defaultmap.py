@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import GRID_SIZE
-from .zonemap import Color, ZoneLabel, ZoneMap, _LABEL_INDEX, format_legend
+from .zonemap import Color, ZoneLabel, ZoneMap, _LABEL_INDEX
 
 DEFAULT_LEGEND: dict[ZoneLabel, Color] = {
     ZoneLabel.BASE_RADIANT: (0, 255, 0),
@@ -32,8 +32,6 @@ DEFAULT_LEGEND: dict[ZoneLabel, Color] = {
     ZoneLabel.PIT: (128, 0, 128),
     ZoneLabel.VOID: (0, 0, 0),
 }
-
-DEFAULT_LEGEND_TEXT = format_legend(DEFAULT_LEGEND)
 
 
 def _paint(codes: np.ndarray, mask: np.ndarray, label: ZoneLabel) -> None:

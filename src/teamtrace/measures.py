@@ -198,12 +198,12 @@ def aggregate_by_category(
     end = min(end, max((len(v) for v in sel), default=0))
     if end <= start:
         return []
-    width = int(end - start)
+    width = end - start
     stack = np.full((len(sel), width), np.nan)
     for i, v in enumerate(sel):
-        chunk = v[start:int(end)]
+        chunk = v[start:end]
         stack[i, : len(chunk)] = chunk
     counts = (~np.isnan(stack)).sum(axis=0)
     sums = np.nansum(stack, axis=0)
     # the longest series covers every second of [start, end), so no count is 0
-    return list(zip(range(int(start), int(end)), (sums / counts).tolist(), counts.tolist()))
+    return list(zip(range(start, end), (sums / counts).tolist(), counts.tolist()))

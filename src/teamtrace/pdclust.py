@@ -34,10 +34,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_CLUSTER_COUNT, DEFAULT_EMBED_DIM, DEFAULT_MEMBERSHIP_EXPONENT, MAX_EMBED_DIM,
-    MIN_EMBED_DIM,
+    MIN_EMBED_DIM, outcome,
 )
 
-_FACTORIAL = (1, 1, 2, 6, 24, 120, 720, 5040)
+_FACTORIAL = tuple(math.factorial(i) for i in range(MAX_EMBED_DIM + 1))
+# FANNY's starved-cluster floor; it keeps s*s out of the underflow-to-zero range.
+_MASS_FLOOR = 1e-100
 
 
 @dataclass(frozen=True)
@@ -355,7 +357,7 @@ def _fanny_state(d: np.ndarray, u: np.ndarray, r: float):
     t = d @ powers
     num = np.einsum("iv,iv->v", powers, t)
     # a cluster with no membership mass contributes nothing (0/0 limit)
-    alive = s > 1e-100
+    alive = s > _MASS_FLOOR
     return powers, s, t, num, float((num[alive] / (2.0 * s[alive])).sum())
 
 
@@ -394,7 +396,6 @@ def fanny(
     powers, s, t, num, objective = _fanny_state(d, u, r)
     trace = [objective]
     sharp = 1.0 / (r - 1.0)
-    step = np.empty((k, n))
 
     converged = False
     sweeps = 0
@@ -412,9 +413,8 @@ def fanny(
         for i in range(n):
             ti = t_by_cluster[:, i].tolist()
             # per-cluster attraction; a starved cluster is never preferred
-            # (the floor keeps s*s out of the underflow-to-zero range)
             a = [
-                ti[v] / s[v] - num[v] / (2.0 * s[v] * s[v]) if s[v] > 1e-100 else math.inf
+                ti[v] / s[v] - num[v] / (2.0 * s[v] * s[v]) if s[v] > _MASS_FLOOR else math.inf
                 for v in clusters
             ]
             amin = min(a)
@@ -434,8 +434,7 @@ def fanny(
             for v in clusters:
                 num[v] += 2.0 * delta[v] * ti[v]
                 s[v] += delta[v]
-            np.multiply(delta_col, cols[i], out=step)
-            t_by_cluster += step
+            t_by_cluster += delta_col * cols[i]
             u[i] = row
 
         # refresh aggregates to kill incremental drift, then evaluate
@@ -540,7 +539,7 @@ def cluster_report(
         if labels is not None:
             for i in members:
                 tier, won = labels[i]
-                facets[f"{tier}/{'win' if won else 'loss'}"] += 1
+                facets[f"{tier}/{outcome(won)}"] += 1
         summaries.append(
             ClusterSummary(
                 cluster=int(c),

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MIN_DWELL_S, GRID_SIZE, SkillTier, Team
+from .core import DEFAULT_MIN_DWELL_S, GRID_SIZE, PLAYER_COUNT, TEAM_SIZE, SkillTier, Team
 from .tickstream import (
-    PLAYER_COUNT,
     MatchMeta,
     PlayerSlot,
     StreamHeader,
@@ -65,7 +64,7 @@ class RegimeParams:
 # Anchor candidates per zone are capped so the per-event nearest-cell
 # projection stays cheap; the stride keeps them spread over the zone.
 _MAX_POOL = 256
-# Events projected at once: bounds the (events, 5, pool) score array of a
+# Events projected at once: bounds the (events, TEAM_SIZE, pool) score array of a
 # long match to about 0.6 MB.
 _EVENT_BLOCK = 64
 
@@ -123,7 +122,7 @@ def _team_positions(
     base: ZoneLabel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(5, T+1, 2) integer cells and float32 sub-cell offsets for one team."""
-    n = 5
+    n = TEAM_SIZE
     length = params.match_len_s + 1
     pool_cells, pool_norms, pool_sizes = interiors
     for label in (base,) + _TARGET_ZONES:
@@ -206,19 +205,17 @@ def generate_match(
         winner = Team.RADIANT if meta_rng.integers(2) == 0 else Team.DIRE
 
     interiors = _zone_interiors(zone_map.codes.tobytes())
-    rad_cells, rad_offs = _team_positions(
-        np.random.default_rng(radiant_ss), params_radiant, interiors, ZoneLabel.BASE_RADIANT
-    )
-    dire_cells, dire_offs = _team_positions(
-        np.random.default_rng(dire_ss), params_dire, interiors, ZoneLabel.BASE_DIRE
-    )
-    cells = np.concatenate((rad_cells, dire_cells), axis=0)
-    offs = np.concatenate((rad_offs, dire_offs), axis=0)
+    teams = [
+        _team_positions(np.random.default_rng(ss), params, interiors, base)
+        for ss, params, base in ((radiant_ss, params_radiant, ZoneLabel.BASE_RADIANT),
+                                 (dire_ss, params_dire, ZoneLabel.BASE_DIRE))
+    ]
+    cells, offs = (np.concatenate(arrays) for arrays in zip(*teams))
 
     header = StreamHeader(
         match_id=match_id,
         players=tuple(
-            PlayerSlot(i, Team.RADIANT if i < 5 else Team.DIRE, 100 + i)
+            PlayerSlot(i, Team.RADIANT if i < TEAM_SIZE else Team.DIRE, 100 + i)
             for i in range(PLAYER_COUNT)
         ),
         tick_interval_ms=tick_interval_ms,

@@ -56,12 +56,11 @@ from typing import Iterable, Mapping, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import GRID_SIZE, MAX_DURATION_S, SkillTier, Team
+from .core import GRID_SIZE, MAX_DURATION_S, PLAYER_COUNT, SkillTier, Team
 
 MAGIC = b"DTL2"
 FORMAT_VERSION = 1
 DEFAULT_TICK_INTERVAL_MS = 33
-PLAYER_COUNT = 10
 
 _HEADER = struct.Struct("<4sHQHB")
 _SLOT = struct.Struct("<BBI")
@@ -397,8 +396,14 @@ def tracks_from_stream(data: bytes, duration_s: int | Mapping[int, int]):
     coordinates in header slot order. T is ``duration_s``, or, given a
     mapping from match id to duration, the match's entry there, else its
     last standardized second. A T above ``MAX_DURATION_S`` is rejected
-    before the tracks are allocated.
+    before the tracks are allocated. Updates after second T are dropped.
     """
+    return _resample(data, duration_s)[:2]
+
+
+def _resample(data: bytes, duration_s: int | Mapping[int, int]):
+    """:func:`tracks_from_stream`'s (header, tracks), plus the seconds of the
+    updates it dropped past T, in stream order."""
     header, heads, ticks, counts = _scan(data)
     if isinstance(duration_s, Mapping):
         last = tick_to_second(int(ticks[-1]), header.tick_interval_ms)
@@ -416,7 +421,7 @@ def tracks_from_stream(data: bytes, duration_s: int | Mapping[int, int]):
     key = slot * (duration_s + 1) + secs
     np.maximum.at(latest.reshape(-1), key[due], np.flatnonzero(due).astype(np.int32))
     np.maximum.accumulate(latest, axis=1, out=latest)
-    return header, np.stack((upd["x"], upd["y"]), axis=-1).take(latest, axis=0)
+    return header, np.stack((upd["x"], upd["y"]), axis=-1).take(latest, axis=0), secs[~due]
 
 
 def write_trajectory_csv(header: StreamHeader, cells: np.ndarray, out: TextIO) -> None:

@@ -85,7 +85,6 @@ class ZoneMap:
 def parse_legend(text: str) -> dict[ZoneLabel, Color]:
     """Parse ``R G B zone_name`` lines into a label -> color mapping."""
     legend: dict[ZoneLabel, Color] = {}
-    colors_seen: set[Color] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,21 +99,15 @@ def parse_legend(text: str) -> dict[ZoneLabel, Color]:
         if not all(0 <= c <= 255 for c in color):
             raise ZoneMapError(f"legend line {lineno}: color out of 0..255")
         label = ZoneLabel.parse(parts[3])
-        if color in colors_seen:
+        if color in legend.values():
             raise ZoneMapError(f"legend line {lineno}: duplicate color {color}")
         if label in legend:
             raise ZoneMapError(f"legend line {lineno}: duplicate zone {label}")
-        colors_seen.add(color)
         legend[label] = color
     missing = [str(z) for z in ZoneLabel if z not in legend]
     if missing:
         raise ZoneMapError(f"legend missing zones: {', '.join(missing)}")
     return legend
-
-
-def format_legend(legend: dict[ZoneLabel, Color]) -> str:
-    lines = [f"{r} {g} {b} {label}" for label, (r, g, b) in legend.items()]
-    return "\n".join(lines) + "\n"
 
 
 # Four header tokens (magic, width, height, maxval), each after whitespace and

@@ -16,7 +16,7 @@ from teamtrace.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from teamtrace.core import Team
 from genstreams import make_header
 from pdclust_oracle import read_matrix_csv
-from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT
+from legend_text import DEFAULT_LEGEND_TEXT
 from teamtrace.measures import distance_values
 from teamtrace.pdclust import distance_matrix
 from teamtrace.tickstream import read_metadata_csv
@@ -62,6 +62,17 @@ def _copied_batch(tmp_path, copies, *synth_flags):
     meta = tmp_path / "matches.csv"
     meta.write_text("\n".join(meta_lines) + "\n")
     return batch, meta
+
+
+def _sixty_second_batch(tmp_path, recorded_s):
+    """Three 60 s synth streams and their metadata rewritten to record
+    ``recorded_s`` seconds per match."""
+    streams = tmp_path / "streams"
+    assert main(["synth", "--matches", "1", "--duration", "60", "--seed", "4",
+                 "-o", str(streams)]) == EXIT_OK
+    meta = streams / "matches.csv"
+    meta.write_text(meta.read_text().replace(",60\n", f",{recorded_s}\n"))
+    return sorted(str(p) for p in streams.glob("*.dtl2")), meta
 
 
 def _src_env():
@@ -178,6 +189,50 @@ class TestSynthAndIngest:
             calls.clear()
             assert main(["ingest", *files, *meta, "-o", str(tmp_path / "o")]) == EXIT_OK
             assert len(calls) == len(files)
+
+    def test_updates_past_recorded_duration_are_named(self, tmp_path, capsys):
+        files, meta = _sixty_second_batch(tmp_path, recorded_s=20)
+        out = tmp_path / "out"
+        assert main(["ingest", *files, "--meta", str(meta), "-o", str(out)]) == EXIT_OK
+        lines = []
+        for path in files:
+            data = Path(path).read_bytes()
+            header, heads, ticks, counts = tickstream._scan(data)
+            _, upd_ticks, _ = tickstream._update_arrays(data, header, heads, ticks, counts)
+            secs = tickstream.tick_to_second(upd_ticks, header.tick_interval_ms)
+            late = secs[secs > 20]
+            assert late.size
+            lines.append(f"{path}: dropped {late.size} updates past the recorded 20 s, "
+                         f"the first at second {late.min()}\n")
+        assert capsys.readouterr().err == "".join(lines)
+        assert [len(p.read_text().splitlines()) for p in sorted(out.iterdir())] == [211] * 3
+
+    def test_recorded_duration_past_last_update_prints_nothing(self, tmp_path, capsys):
+        # the last positions are carried forward to the recorded second 90
+        files, meta = _sixty_second_batch(tmp_path, recorded_s=90)
+        out = tmp_path / "out"
+        assert main(["ingest", *files, "--meta", str(meta), "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert [len(p.read_text().splitlines()) for p in sorted(out.iterdir())] == [911] * 3
+
+    def test_stream_failing_lineup_prints_no_drop_line(self, tmp_path, capsys):
+        keyframe = tickstream.Frame(
+            0, tuple(tickstream.FrameUpdate(i, 1, 2, 0.0, 0.0) for i in range(10)))
+        later = tickstream.Frame(
+            int(tickstream.tick_for_second(5)), (tickstream.FrameUpdate(0, 3, 4, 0.0, 0.0),))
+        good, lopsided = tmp_path / "8.dtl2", tmp_path / "9.dtl2"
+        good.write_bytes(tickstream.encode(make_header(match_id=8), [keyframe]))
+        slots = make_header().players
+        six_four = tickstream.StreamHeader(
+            9, (*slots[:5], slots[5]._replace(team=Team.RADIANT), *slots[6:]))
+        lopsided.write_bytes(tickstream.encode(six_four, [keyframe, later]))
+        meta = tmp_path / "meta.csv"
+        meta.write_text("match_id,tier,winner,duration_s\n9,Normal,Dire,2\n")
+        out = tmp_path / "out"
+        assert main(["ingest", str(good), str(lopsided), "--meta", str(meta),
+                     "-o", str(out)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == (
+            f"error: {lopsided}: expected 5 players for Radiant, got 6\n")
 
     def test_all_failures(self, tmp_path, capsys):
         junk, short_a, short_b = (tmp_path / f"{name}.dtl2" for name in ("junk", "a", "b"))

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 
 from teamtrace import tickstream
 from teamtrace.cli import build_parser, main
-from teamtrace.defaultmap import DEFAULT_LEGEND_TEXT, default_zone_map
+from legend_text import DEFAULT_LEGEND_TEXT
+from teamtrace.defaultmap import default_zone_map
 from teamtrace.zonemap import render_zone_map
 
 INTS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "12", str(2**70), "x", "1.5", ""])

@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from teamtrace.defaultmap import DEFAULT_LEGEND, DEFAULT_LEGEND_TEXT, default_zone_map
+from legend_text import DEFAULT_LEGEND_TEXT, format_legend
+from teamtrace.defaultmap import DEFAULT_LEGEND, default_zone_map
 from teamtrace.zonemap import (
     ZoneLabel,
     ZoneMap,
     ZoneMapError,
     draft_zone_map,
-    format_legend,
     load_zone_map,
     parse_legend,
     render_zone_map,
@@ -259,3 +259,8 @@ class TestZoneMapType:
         legend[ZoneLabel.PIT] = legend[ZoneLabel.RIVER]
         with pytest.raises(ZoneMapError, match="unique"):
             ZoneMap(codes, legend)
+
+    def test_comparison_with_another_type_is_left_to_it(self, zmap):
+        assert zmap.__eq__(DEFAULT_LEGEND) is NotImplemented
+        assert zmap != DEFAULT_LEGEND and zmap != "map"
+        assert zmap == default_zone_map()
