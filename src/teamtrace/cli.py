@@ -60,7 +60,9 @@ class _Parser(argparse.ArgumentParser):
 def _load_zone_map(args) -> ZoneMap:
     from .defaultmap import default_zone_map
     if args.zone_map and args.legend:
-        return load_zone_map(Path(args.zone_map).read_bytes(), Path(args.legend).read_text())
+        legend = _read(args.legend, lambda f: parse_legend(f.read()))
+        # a pixmap is binary: read the bytes under the text wrapper
+        return _read(args.zone_map, lambda f: load_zone_map(f.buffer.read(), legend))
     if args.zone_map or args.legend:
         raise UsageError("--map and --legend must be given together")
     return default_zone_map()
@@ -393,7 +395,7 @@ def cmd_synth(args) -> int:
 
 def cmd_zonemap_draft(args) -> int:
     from .defaultmap import DEFAULT_LEGEND
-    legend = parse_legend(Path(args.legend).read_text()) if args.legend else DEFAULT_LEGEND
+    legend = _read(args.legend, lambda f: parse_legend(f.read())) if args.legend else DEFAULT_LEGEND
     visits = _occupancy(_load_matches(args))
     draft = draft_zone_map(visits, legend, args.provisional)
     out = _out_dir(args)
@@ -423,8 +425,8 @@ def _read_config_file(argv: list[str]) -> dict[str, str]:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             settings[key.strip().replace("-", "_")] = value.strip()
-    except OSError as e:
-        raise UsageError(f"cannot read config file: {e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"cannot read config file {path}: {e}") from None
     return settings
 
 

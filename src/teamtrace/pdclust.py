@@ -275,7 +275,7 @@ def _tie_argmin(values: np.ndarray, rng: np.random.Generator) -> int:
 class PamResult:
     medoids: tuple[int, ...]
     labels: np.ndarray = field(repr=False)
-    cost: float = 0.0
+    cost: float
 
 
 def pam(matrix, k: int, seed: int = 0) -> PamResult:
@@ -461,7 +461,7 @@ def fanny(
 @dataclass(frozen=True)
 class SilhouetteResult:
     widths: np.ndarray = field(repr=False)
-    average: float = 0.0
+    average: float
 
 
 def silhouette(matrix, assignment) -> SilhouetteResult:
@@ -518,16 +518,16 @@ def cluster_report(
     series_set: Sequence,
     assignment,
     matrix,
-    labels: Sequence[tuple] | None = None,
+    labels: Sequence[tuple],
 ) -> ClusterReport:
     """Describe each cluster: size, mean and variance of the member series
-    means, mean series duration, and counts faceted by (tier, outcome)
-    when labels are supplied; plus the silhouette of the crisp labels."""
+    means, mean series duration, and counts faceted by the (tier, won)
+    labels; plus the silhouette of the crisp labels."""
     crisp = np.asarray(getattr(assignment, "crisp", assignment))
     values = [np.asarray(s, dtype=np.float64) for s in series_set]
     if len(values) != crisp.size:
         raise ValueError("assignment length does not match series count")
-    if labels is not None and len(labels) != len(values):
+    if len(labels) != len(values):
         raise ValueError("labels length does not match series count")
 
     summaries = []
@@ -536,10 +536,9 @@ def cluster_report(
         means = np.array([values[i].mean() for i in members])
         durations = np.array([values[i].size - 1 for i in members], dtype=np.float64)
         facets: Counter[str] = Counter()
-        if labels is not None:
-            for i in members:
-                tier, won = labels[i]
-                facets[f"{tier}/{outcome(won)}"] += 1
+        for i in members:
+            tier, won = labels[i]
+            facets[f"{tier}/{outcome(won)}"] += 1
         summaries.append(
             ClusterSummary(
                 cluster=int(c),

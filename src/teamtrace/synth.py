@@ -46,7 +46,6 @@ class RegimeParams:
     spread_sigma: float  # target dispersion around the team anchor, cells
     switch_rate: float   # expected zone changes per player per minute
     match_len_s: int
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.spread_sigma < float("inf"):
@@ -70,11 +69,12 @@ _EVENT_BLOCK = 64
 
 
 @functools.lru_cache(maxsize=4)
-def _zone_interiors(code_bytes: bytes, radius: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _zone_interiors(code_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interior cells of every zone of a map, given its codes' bytes, stacked
     by label index: (labels, width, 2) cells, their squared norms (+inf past
     each zone's pool) and the pool sizes. An interior cell's full (2r+1)^2
     neighborhood shares its label, so small jitter cannot escape."""
+    radius = 2
     codes = np.frombuffer(code_bytes, dtype=np.uint8).reshape(GRID_SIZE, GRID_SIZE)
     padded = np.pad(codes, radius, constant_values=255)
     same = np.ones_like(codes, dtype=bool)
@@ -177,32 +177,28 @@ def generate_match(
     seed: int,
     match_id: int | None = None,
     tier: SkillTier = SkillTier.NORMAL,
-    winner: Team | None = None,
-    tick_interval_ms: int = 33,
 ) -> tuple[bytes, MatchMeta]:
     """Produce one DTL2 stream plus its metadata.
 
     Fully deterministic: the same (seed, params) always yields identical
-    bytes. The seed must be non-negative and both teams must share the
-    match length.
+    bytes. The stream uses the format's default tick interval, and the
+    winner, like the match id when none is given, is drawn from the seed.
+    The seed must be non-negative and both teams must share the match length.
     """
     if params_radiant.match_len_s != params_dire.match_len_s:
         raise ValueError("both teams must use the same match length")
-    if not 1 <= tick_interval_ms <= 999:
-        raise ValueError("tick_interval_ms must be in [1, 999]")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     duration = params_radiant.match_len_s
 
-    root = np.random.SeedSequence(
-        entropy=(int(seed), params_radiant.seed, params_dire.seed)
-    )
+    # the entropy stays (seed, 0, 0): on numpy 2.4.6 that seeds as seed alone
+    # only below 2**64, and synth --seed has no upper bound
+    root = np.random.SeedSequence(entropy=(int(seed), 0, 0))
     meta_ss, radiant_ss, dire_ss = root.spawn(3)
     meta_rng = np.random.default_rng(meta_ss)
     if match_id is None:
         match_id = int(meta_rng.integers(1, 1 << 48))
-    if winner is None:
-        winner = Team.RADIANT if meta_rng.integers(2) == 0 else Team.DIRE
+    winner = Team.RADIANT if meta_rng.integers(2) == 0 else Team.DIRE
 
     interiors = _zone_interiors(zone_map.codes.tobytes())
     teams = [
@@ -218,7 +214,6 @@ def generate_match(
             PlayerSlot(i, Team.RADIANT if i < TEAM_SIZE else Team.DIRE, 100 + i)
             for i in range(PLAYER_COUNT)
         ),
-        tick_interval_ms=tick_interval_ms,
     )
 
     # sparse frames: an entity appears only in the seconds its cell moved
@@ -236,7 +231,7 @@ def generate_match(
     per_sec = np.bincount(secs_u, minlength=duration + 1)
     frame_secs = np.flatnonzero(per_sec)
     counts = per_sec[frame_secs]
-    ticks = tick_for_second(frame_secs.astype(np.int64), tick_interval_ms)
+    ticks = tick_for_second(frame_secs.astype(np.int64))
 
     stream = _pack_frames(header, ticks, counts, updates)
     return stream, MatchMeta(match_id, tier, winner, duration)

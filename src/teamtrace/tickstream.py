@@ -514,7 +514,10 @@ def read_metadata_csv(inp: TextIO) -> dict[int, MatchMeta]:
         if len(row) != len(METADATA_COLUMNS):
             raise ValueError(f"line {line}: expected {len(METADATA_COLUMNS)} fields, got {len(row)}")
         mid, tier, winner, dur = row
-        meta = MatchMeta(int(mid), SkillTier.parse(tier), Team.parse(winner), int(dur))
+        try:
+            meta = MatchMeta(int(mid), SkillTier.parse(tier), Team.parse(winner), int(dur))
+        except ValueError as e:
+            raise ValueError(f"line {line}: {e}") from None
         if meta.duration_s < 0:
             raise ValueError(f"line {line}: negative duration_s {meta.duration_s}")
         first = line_of.setdefault(meta.match_id, line)

@@ -98,7 +98,10 @@ def parse_legend(text: str) -> dict[ZoneLabel, Color]:
             raise ZoneMapError(f"legend line {lineno}: non-integer color") from None
         if not all(0 <= c <= 255 for c in color):
             raise ZoneMapError(f"legend line {lineno}: color out of 0..255")
-        label = ZoneLabel.parse(parts[3])
+        try:
+            label = ZoneLabel.parse(parts[3])
+        except ZoneMapError as e:
+            raise ZoneMapError(f"legend line {lineno}: {e}") from None
         if color in legend.values():
             raise ZoneMapError(f"legend line {lineno}: duplicate color {color}")
         if label in legend:
@@ -157,13 +160,12 @@ def _parse_ppm(data: bytes) -> tuple[int, int, np.ndarray]:
     return width, height, flat.reshape(height, width, 3)
 
 
-def load_zone_map(pixmap_bytes: bytes, legend_text: str) -> ZoneMap:
-    """Build a ZoneMap from pixmap bytes and legend text.
+def load_zone_map(pixmap_bytes: bytes, legend: dict[ZoneLabel, Color]) -> ZoneMap:
+    """Build a ZoneMap from pixmap bytes and a parsed legend.
 
     Every pixel color must appear in the legend; the image must be exactly
     128x128.
     """
-    legend = parse_legend(legend_text)
     width, height, pixels = _parse_ppm(pixmap_bytes)
     if (width, height) != (GRID_SIZE, GRID_SIZE):
         raise ZoneMapError(
@@ -211,7 +213,7 @@ def render_zone_map(zmap: ZoneMap) -> bytes:
 def draft_zone_map(
     visits: np.ndarray,
     legend: dict[ZoneLabel, Color],
-    provisional: ZoneLabel = ZoneLabel.JUNGLE,
+    provisional: ZoneLabel,
 ) -> ZoneMap:
     """Draft map from observed positions: every cell with a nonzero count
     in the 128x128 ``visits`` grid gets the provisional label, everything

@@ -17,10 +17,11 @@ from teamtrace.core import Team
 from genstreams import make_header
 from pdclust_oracle import read_matrix_csv
 from legend_text import DEFAULT_LEGEND_TEXT
+from teamtrace.defaultmap import DEFAULT_LEGEND, default_zone_map
 from teamtrace.measures import distance_values
 from teamtrace.pdclust import distance_matrix
 from teamtrace.tickstream import read_metadata_csv
-from teamtrace.zonemap import load_zone_map
+from teamtrace.zonemap import load_zone_map, render_zone_map
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +305,9 @@ class TestSynthAndIngest:
         ("7,Normal,Dire", "line 8: expected 4 fields, got 3"),
         ("7,Normal,Dire,-1", "line 8: negative duration_s -1"),
         ("7,Normal,Dire,-3", "line 8: negative duration_s -3"),
+        ("1,Normal,Radiant,x", "line 8: invalid literal for int() with base 10: 'x'"),
+        ("7,Legend,Dire,9", "line 8: unknown skill tier: 'Legend'"),
+        ("7,Normal,Nobody,9", "line 8: unknown team name: 'Nobody'"),
     ])
     @pytest.mark.parametrize("command", ["zones", "ingest"])
     def test_bad_metadata_row_is_one_line_data_error(
@@ -722,7 +726,7 @@ class TestAnalysisCommands:
         assert main([
             "zonemap-draft", "--trajectories", str(workspace / "traj"), "-o", str(out),
         ]) == EXIT_OK
-        zm = load_zone_map((out / "draft_map.ppm").read_bytes(), DEFAULT_LEGEND_TEXT)
+        zm = load_zone_map((out / "draft_map.ppm").read_bytes(), DEFAULT_LEGEND)
         codes = set(np.unique(zm.codes).tolist())
         assert len(codes) == 2  # provisional zone + void
 
@@ -863,6 +867,17 @@ class TestConfigFile:
         ]) == EXIT_USAGE
         assert "window" in capsys.readouterr().err
 
+    def test_config_not_utf8_is_one_line_usage_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k=4\n\xff\n")
+        assert main([
+            "distance", "--config", str(cfg), "--trajectories", str(workspace / "traj"),
+            "-o", str(tmp_path),
+        ]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"teamtrace: error: cannot read config file {cfg}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["zones"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
@@ -914,6 +929,36 @@ class TestCustomMap:
         err = capsys.readouterr().err
         assert err.startswith("teamtrace: error: ") and err.count("\n") == 1
         assert str(missing) in err
+
+    @pytest.mark.parametrize("text, message", [
+        (DEFAULT_LEGEND_TEXT.encode() + b"9 9 9 fountain\n",
+         "legend line 12: unknown zone name: 'fountain'"),
+        (b"\xff\n" + DEFAULT_LEGEND_TEXT.encode(),
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["unknown-zone", "not-utf8"])
+    @pytest.mark.parametrize("command", ["zones", "zonemap-draft"])
+    def test_legend_error_names_file_and_line(self, workspace, tmp_path, capsys, command, text,
+                                              message):
+        legend = tmp_path / "legend.txt"
+        legend.write_bytes(text)
+        argv = [command, "--trajectories", str(workspace / "traj"), "--legend", str(legend)]
+        if command == "zones":
+            ppm = tmp_path / "map.ppm"
+            ppm.write_bytes(render_zone_map(default_zone_map()))
+            argv += ["--meta", str(workspace / "streams" / "matches.csv"), "--map", str(ppm)]
+        assert main(argv + ["-o", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"teamtrace: error: {legend}: {message}\n"
+
+    def test_pixmap_error_names_the_map_file(self, tmp_path, capsys):
+        legend = tmp_path / "legend.txt"
+        legend.write_text(DEFAULT_LEGEND_TEXT)
+        ppm = tmp_path / "map.ppm"
+        ppm.write_bytes(b"P5\n1 1\n255\n\x00")
+        assert main([
+            "synth", "--map", str(ppm), "--legend", str(legend), "-o", str(tmp_path / "out"),
+        ]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"teamtrace: error: {ppm}: not a P3/P6 pixmap (magic b'P5')\n")
 
     def test_map_without_legend_is_usage_error(self, workspace, tmp_path):
         assert main([

@@ -120,7 +120,8 @@ def legends(draw, valid: str) -> str:
 
 
 @st.composite
-def configs(draw, command: str) -> str:
+def configs(draw, command: str) -> bytes:
+    """key=value lines, as bytes that need not be UTF-8."""
     keys = FLAGS[command] + ["bogus"]
     lines = []
     for _ in range(draw(st.integers(0, 3))):
@@ -128,7 +129,18 @@ def configs(draw, command: str) -> str:
         value = draw(VALUES[key]) if key in VALUES else "1"
         lines.append(draw(st.sampled_from([f"{key}={value}", f"{key} = {value}  # note",
                                            key, "# comment", ""])))
-    return "\n".join(lines) + "\n"
+    return draw(mutated(("\n".join(lines) + "\n").encode()))
+
+
+@st.composite
+def metadata(draw, valid: bytes) -> bytes:
+    """``valid`` mutated as bytes (UTF-8 or not), or with a row whose fields
+    do not parse."""
+    if draw(st.booleans()):
+        return draw(mutated(valid))
+    row = draw(st.sampled_from([b"x,Normal,Dire,9", b"1,Normal,Radiant,x", b"7,Legend,Dire,9",
+                                b"7,Normal,Nobody,9", b"7,Normal,Dire,\xff"]))
+    return valid + row + b"\n"
 
 
 def invocation(batch: Path, root: Path, data):
@@ -154,7 +166,7 @@ def invocation(batch: Path, root: Path, data):
         argv += ["--trajectories", str(traj)]
     if "meta" in inputs and (command != "ingest" or data.draw(st.booleans())):
         meta = (batch / "streams" / "matches.csv").read_bytes()
-        (root / "matches.csv").write_bytes(data.draw(mutated(meta), label="meta"))
+        (root / "matches.csv").write_bytes(data.draw(metadata(meta), label="meta"))
         argv += ["--meta", str(root / "matches.csv")]
     if "map" in inputs and data.draw(st.booleans(), label="custom map"):
         pixmap = data.draw(pixmaps((batch / "map.ppm").read_bytes()), label="pixmap")
@@ -169,7 +181,7 @@ def invocation(batch: Path, root: Path, data):
                           else st.just([]), label="flags"):
         argv += [f"--{flag}", data.draw(VALUES[flag], label=flag)]
     if data.draw(st.booleans(), label="config"):
-        (root / "run.cfg").write_text(data.draw(configs(command), label="config text"))
+        (root / "run.cfg").write_bytes(data.draw(configs(command), label="config bytes"))
         argv += ["--config", str(root / "run.cfg")]
     return argv + ["-o", str(root / "out")]
 

@@ -593,7 +593,7 @@ class TestClusterReport:
     def test_single_cluster_echoes_global_statistics(self):
         series = [np.array([1.0, 3.0]), np.array([5.0, 7.0]), np.array([2.0, 2.0])]
         d = np.zeros((3, 3))
-        report = cluster_report(series, np.zeros(3, dtype=int), d)
+        report = cluster_report(series, np.zeros(3, dtype=int), d, [("Normal", True)] * 3)
         assert [c.size for c in report.clusters] == [3]
         c = report.clusters[0]
         means = [2.0, 6.0, 2.0]
@@ -604,7 +604,7 @@ class TestClusterReport:
     def test_constant_series_clusters(self):
         series = [np.full(5, 10.0), np.full(5, 10.0), np.full(9, 20.0), np.full(9, 20.0)]
         d, labels = block_matrix([2, 2], within=0.0, between=1.0)
-        report = cluster_report(series, labels, d)
+        report = cluster_report(series, labels, d, [("High", False)] * 4)
         by_cluster = {c.cluster: c for c in report.clusters}
         assert by_cluster[0].mean_of_series_means == 10.0
         assert by_cluster[0].variance_of_series_means == 0.0
@@ -612,7 +612,7 @@ class TestClusterReport:
         assert by_cluster[1].mean_duration_s == 8.0
 
     @pytest.mark.parametrize("assignment, labels, message", [
-        ([0, 1], None, "assignment length does not match series count"),
+        ([0, 1], [("Normal", True)] * 3, "assignment length does not match series count"),
         ([0, 0, 1], [("Normal", True)], "labels length does not match series count"),
     ], ids=["assignment", "labels"])
     def test_lengths_must_match_series_count(self, assignment, labels, message):

@@ -92,14 +92,11 @@ class TestGenerateMatch:
 
     def test_match_record_roundtrip(self, zmap):
         p = RegimeParams(6.0, 4.0, 60)
-        stream, meta = generate_match(
-            p, p, zmap, seed=1, match_id=77, tier=SkillTier.HIGH, winner=Team.DIRE
-        )
-        assert (meta.match_id, meta.tier, meta.winner, meta.duration_s) == (
-            77, SkillTier.HIGH, Team.DIRE, 60
-        )
+        stream, meta = generate_match(p, p, zmap, seed=1, match_id=77, tier=SkillTier.HIGH)
+        assert (meta.match_id, meta.tier, meta.duration_s) == (77, SkillTier.HIGH, 60)
         header, cells = tickstream.tracks_from_stream(stream, meta.duration_s)
         assert header.match_id == 77
+        assert header.tick_interval_ms == tickstream.DEFAULT_TICK_INTERVAL_MS
         assert [p.team for p in header.players] == [Team.RADIANT] * 5 + [Team.DIRE] * 5
         assert cells.shape == (10, 61, 2)
 
@@ -111,12 +108,6 @@ class TestGenerateMatch:
         for slot, code in zip(header.players, spawn.tolist()):
             base = ZoneLabel.BASE_RADIANT if slot.team is Team.RADIANT else ZoneLabel.BASE_DIRE
             assert list(ZoneLabel)[code] is base
-
-    @pytest.mark.parametrize("tick_interval_ms", [0, 1000])
-    def test_tick_interval_out_of_range_rejected(self, zmap, tick_interval_ms):
-        p = RegimeParams(5.0, 3.0, 60)
-        with pytest.raises(ValueError, match=r"^tick_interval_ms must be in \[1, 999\]$"):
-            generate_match(p, p, zmap, seed=0, tick_interval_ms=tick_interval_ms)
 
     def test_map_without_base_interior_rejected(self):
         void = ZoneMap(np.full((128, 128), list(ZoneLabel).index(ZoneLabel.VOID), dtype=np.uint8),

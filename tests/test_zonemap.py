@@ -45,7 +45,7 @@ def uniform_image(rgb, size=128) -> np.ndarray:
 
 class TestLoad:
     def test_uniform_void_maps_every_cell(self):
-        zm = load_zone_map(ppm_p6(uniform_image(VOID_RGB)), DEFAULT_LEGEND_TEXT)
+        zm = load_zone_map(ppm_p6(uniform_image(VOID_RGB)), DEFAULT_LEGEND)
         assert all(
             label_at(zm, x, y) is ZoneLabel.VOID
             for x in range(0, 128, 17)
@@ -56,39 +56,39 @@ class TestLoad:
     def test_wrong_dimensions_rejected(self):
         img = np.zeros((127, 128, 3), dtype=np.uint8)
         with pytest.raises(ZoneMapError, match="128x128"):
-            load_zone_map(ppm_p6(img), DEFAULT_LEGEND_TEXT)
+            load_zone_map(ppm_p6(img), DEFAULT_LEGEND)
 
     def test_row_flip_orientation(self):
         # a river pixel at image col 10, row 117 lands on cell (10, 10)
         img = uniform_image(VOID_RGB)
         img[117, 10] = RIVER_RGB
-        zm = load_zone_map(ppm_p6(img), DEFAULT_LEGEND_TEXT)
+        zm = load_zone_map(ppm_p6(img), DEFAULT_LEGEND)
         assert label_at(zm, 10, 10) is ZoneLabel.RIVER
         assert label_at(zm, 10, 117) is ZoneLabel.VOID
 
     def test_base_cell(self):
         img = uniform_image(VOID_RGB)
         img[127, 0] = BASE_RGB  # bottom-left pixel -> cell (0, 0)
-        zm = load_zone_map(ppm_p6(img), DEFAULT_LEGEND_TEXT)
+        zm = load_zone_map(ppm_p6(img), DEFAULT_LEGEND)
         assert label_at(zm, 0, 0) is ZoneLabel.BASE_RADIANT
 
     def test_unknown_pixel_color_rejected(self):
         img = uniform_image(VOID_RGB)
         img[5, 5] = (7, 7, 7)
         with pytest.raises(ZoneMapError, match="not in legend"):
-            load_zone_map(ppm_p6(img), DEFAULT_LEGEND_TEXT)
+            load_zone_map(ppm_p6(img), DEFAULT_LEGEND)
 
     def test_p3_and_p6_agree(self):
         zm6 = default_zone_map()
         p3 = ppm_p3(zm6)
         p6 = render_zone_map(zm6)
-        assert load_zone_map(p3, DEFAULT_LEGEND_TEXT) == load_zone_map(p6, DEFAULT_LEGEND_TEXT)
+        assert load_zone_map(p3, DEFAULT_LEGEND) == load_zone_map(p6, DEFAULT_LEGEND)
 
     def test_rerender_is_byte_identical(self):
         zm = default_zone_map()
         for render in (render_zone_map, ppm_p3):
             blob = render(zm)
-            again = render(load_zone_map(blob, DEFAULT_LEGEND_TEXT))
+            again = render(load_zone_map(blob, DEFAULT_LEGEND))
             assert again == blob
 
     def test_peak_memory_is_far_below_a_table_of_every_color(self):
@@ -97,7 +97,7 @@ class TestLoad:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            load_zone_map(blob, DEFAULT_LEGEND_TEXT)
+            load_zone_map(blob, DEFAULT_LEGEND)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -109,11 +109,11 @@ class TestLoad:
         for data, have in ((blob[:-10], 49142), (b"P6\n128 128\n255", 0)):
             with pytest.raises(ZoneMapError, match=f"^pixmap truncated: need 49152 bytes, "
                                                    f"have {have}$"):
-                load_zone_map(data, DEFAULT_LEGEND_TEXT)
+                load_zone_map(data, DEFAULT_LEGEND)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ZoneMapError, match="P3/P6"):
-            load_zone_map(b"P5\n1 1\n255\n\x00", DEFAULT_LEGEND_TEXT)
+            load_zone_map(b"P5\n1 1\n255\n\x00", DEFAULT_LEGEND)
 
     @pytest.mark.parametrize("header", [
         b"P6\n-1 -3\n255\n", b"P6\n-128 -128\n255\n", b"P6\n+128 128\n255\n",
@@ -126,7 +126,7 @@ class TestLoad:
         body = bytes(9) if kind == "P6" else b"0 " * 9
         blob = header.replace(b"P6", kind.encode(), 1) + body
         with pytest.raises(ZoneMapError, match="malformed pixmap header"):
-            load_zone_map(blob, DEFAULT_LEGEND_TEXT)
+            load_zone_map(blob, DEFAULT_LEGEND)
 
     @pytest.mark.parametrize("blob, message", [
         (b"P6\n1 1\n254\n" + bytes(3), "unsupported maxval 254 (expected 255)"),
@@ -137,19 +137,19 @@ class TestLoad:
     ], ids=["maxval-254", "p6-trailing-byte", "p3-non-integer", "p3-short", "p3-sample-256"])
     def test_bad_pixmap_body_rejected(self, blob, message):
         with pytest.raises(ZoneMapError, match=f"^{re.escape(message)}$"):
-            load_zone_map(blob, DEFAULT_LEGEND_TEXT)
+            load_zone_map(blob, DEFAULT_LEGEND)
 
     def test_header_comments_and_whitespace(self):
         blob = render_zone_map(default_zone_map())
         body = blob[len(b"P6\n128 128\n255\n"):]
         commented = b"P6 # comment\n\t128#x\n128 # y\n255\n" + body
         with pytest.raises(ZoneMapError, match="malformed"):
-            load_zone_map(commented, DEFAULT_LEGEND_TEXT)  # '#' inside a token is not a comment
+            load_zone_map(commented, DEFAULT_LEGEND)  # '#' inside a token is not a comment
         commented = b"P6 # comment\n\t128\n#\n128 # y\n255\n" + body
-        assert load_zone_map(commented, DEFAULT_LEGEND_TEXT) == default_zone_map()
+        assert load_zone_map(commented, DEFAULT_LEGEND) == default_zone_map()
         for cut in (b"", b"# only a comment", b"P6 128 128 #255"):
             with pytest.raises(ZoneMapError):
-                load_zone_map(cut, DEFAULT_LEGEND_TEXT)
+                load_zone_map(cut, DEFAULT_LEGEND)
 
     def test_fuzzed_input_never_crashes(self):
         rng = np.random.default_rng(2)
@@ -163,7 +163,7 @@ class TestLoad:
                     buf[rng.integers(len(buf))] = rng.integers(256)
                 blob = bytes(buf[: rng.integers(1, len(buf) + 1)])
             try:
-                load_zone_map(blob, DEFAULT_LEGEND_TEXT)
+                load_zone_map(blob, DEFAULT_LEGEND)
             except ZoneMapError:
                 pass
 
@@ -187,7 +187,8 @@ class TestLegend:
         ("0 256 0 pit", "legend line 12: color out of 0..255"),
         ("9 9 9 pit", "legend line 12: duplicate zone pit"),
         ("9 x 9 pit", "legend line 12: non-integer color"),
-    ], ids=["color-256", "duplicate-zone", "non-integer-color"])
+        ("9 9 9 fountain", "legend line 12: unknown zone name: 'fountain'"),
+    ], ids=["color-256", "duplicate-zone", "non-integer-color", "unknown-zone"])
     def test_bad_line_rejected(self, line, message):
         text = DEFAULT_LEGEND_TEXT.rstrip("\n") + "\n" + line + "\n"
         with pytest.raises(ZoneMapError, match=f"^{re.escape(message)}$"):
@@ -228,7 +229,7 @@ class TestDraft:
         visits = np.zeros((128, 128), dtype=np.int64)
         visits[3, 3] = 1
         visits[3, 4] = 7
-        draft = draft_zone_map(visits, DEFAULT_LEGEND)
+        draft = draft_zone_map(visits, DEFAULT_LEGEND, ZoneLabel.JUNGLE)
         assert label_at(draft, 3, 3) is ZoneLabel.JUNGLE
         assert label_at(draft, 3, 4) is ZoneLabel.JUNGLE
         assert label_at(draft, 9, 9) is ZoneLabel.VOID

@@ -326,25 +326,18 @@ def generate_match(
     seed: int,
     match_id: int | None = None,
     tier: SkillTier = SkillTier.NORMAL,
-    winner: Team | None = None,
-    tick_interval_ms: int = 33,
 ) -> tuple[bytes, MatchMeta]:
     """Produce one DTL2 stream plus its metadata (non-negative seeds)."""
     if params_radiant.match_len_s != params_dire.match_len_s:
         raise ValueError("both teams must use the same match length")
-    if not 1 <= tick_interval_ms <= 999:
-        raise ValueError("tick_interval_ms must be in [1, 999]")
     duration = params_radiant.match_len_s
 
-    root = np.random.SeedSequence(
-        entropy=(abs(int(seed)), params_radiant.seed, params_dire.seed)
-    )
+    root = np.random.SeedSequence(entropy=(abs(int(seed)), 0, 0))
     meta_ss, radiant_ss, dire_ss = root.spawn(3)
     meta_rng = np.random.default_rng(meta_ss)
     if match_id is None:
         match_id = int(meta_rng.integers(1, 1 << 48))
-    if winner is None:
-        winner = Team.RADIANT if meta_rng.integers(2) == 0 else Team.DIRE
+    winner = Team.RADIANT if meta_rng.integers(2) == 0 else Team.DIRE
 
     interiors = _zone_interiors(zone_map)
     rad_cells, rad_offs = _team_positions(
@@ -362,7 +355,6 @@ def generate_match(
             PlayerSlot(i, Team.RADIANT if i < 5 else Team.DIRE, 100 + i)
             for i in range(PLAYER_COUNT)
         ),
-        tick_interval_ms=tick_interval_ms,
     )
 
     # sparse frames: an entity appears only in the seconds its cell moved
@@ -379,7 +371,7 @@ def generate_match(
 
     frame_secs = np.unique(secs_u)
     counts = np.bincount(secs_u, minlength=duration + 1)[frame_secs]
-    ticks = tick_for_second(frame_secs.astype(np.int64), tick_interval_ms)
+    ticks = tick_for_second(frame_secs.astype(np.int64))
 
     stream = _pack_frames(header, ticks, counts, updates)
     return stream, MatchMeta(match_id, tier, winner, duration)
